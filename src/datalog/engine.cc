@@ -86,6 +86,29 @@ void RecordQueryMetrics(Strategy strategy, const QueryResult& result) {
 
 }  // namespace
 
+StatusOr<QueryResult> EvaluateRewritten(const RewriteResult& rewrite,
+                                        const ParsedQuery& query,
+                                        Database& db,
+                                        const EvalOptions& options) {
+  // Seed the input relation with the query's bound arguments.
+  std::vector<TermId> seed;
+  for (size_t i = 0; i < query.atom.args.size(); ++i) {
+    if (!rewrite.query_adornment[i]) continue;
+    seed.push_back(
+        GroundPattern(query.atom.args[i], Substitution(), db.ctx().arena()));
+  }
+  db.Insert(rewrite.input_rel, seed);
+
+  EvalOptions opts = options;
+  opts.seminaive = true;
+  QueryResult result;
+  DQSQ_ASSIGN_OR_RETURN(result.eval, Evaluate(rewrite.program, db, opts));
+
+  result.answers =
+      Ask(db, Atom{rewrite.answer_rel, query.atom.args}, query.num_vars);
+  return result;
+}
+
 StatusOr<QueryResult> SolveQuery(const Program& program, Database& db,
                                  const ParsedQuery& query, Strategy strategy,
                                  const EvalOptions& options) {
@@ -153,22 +176,8 @@ StatusOr<QueryResult> SolveQuery(const Program& program, Database& db,
                                 qopts));
       }
 
-      // Seed the input relation with the query's bound arguments.
-      std::vector<TermId> seed;
-      for (size_t i = 0; i < query.atom.args.size(); ++i) {
-        if (!adornment[i]) continue;
-        seed.push_back(
-            GroundPattern(query.atom.args[i], Substitution(), db.ctx().arena()));
-      }
-      db.Insert(rewrite.input_rel, seed);
-
-      EvalOptions opts = options;
-      opts.seminaive = true;
-      DQSQ_ASSIGN_OR_RETURN(result.eval,
-                            Evaluate(rewrite.program, db, opts));
-
-      Atom answer_query{rewrite.answer_rel, query.atom.args};
-      result.answers = Ask(db, answer_query, query.num_vars);
+      DQSQ_ASSIGN_OR_RETURN(result,
+                            EvaluateRewritten(rewrite, query, db, options));
       result.derived_facts = db.TotalFacts() - facts_before;
 
       std::vector<RelId> answer_rels;

@@ -50,6 +50,16 @@ StatusOr<QueryResult> SolveQuery(const Program& program, Database& db,
                                  const ParsedQuery& query, Strategy strategy,
                                  const EvalOptions& options = {});
 
+/// The tail of SolveQuery's magic/QSQ branch: seeds `rewrite.input_rel`
+/// with the bound arguments of `query`, evaluates the rewritten program
+/// over `db` and asks `rewrite.answer_rel` (fills answers and eval). A
+/// rewrite depends only on the call pattern (§3.2), so callers repeating
+/// one pattern rewrite once and call this per request.
+StatusOr<QueryResult> EvaluateRewritten(const RewriteResult& rewrite,
+                                        const ParsedQuery& query,
+                                        Database& db,
+                                        const EvalOptions& options = {});
+
 /// Copies every fact of `src` into `dst` (both must share the context).
 void CopyFacts(const Database& src, Database& dst);
 

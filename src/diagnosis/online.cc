@@ -1,11 +1,12 @@
 #include "diagnosis/online.h"
 
-#include <set>
+#include <map>
 #include <utility>
 
-#include "common/logging.h"
+#include "datalog/adornment.h"
+#include "datalog/qsq_rewrite.h"
 #include "diagnosis/encoder.h"
-#include "diagnosis/rule_builder.h"
+#include "diagnosis/supervisor.h"
 
 namespace dqsq::diagnosis {
 
@@ -20,29 +21,39 @@ std::string StateConst(const std::string& peer, uint32_t s) {
 StatusOr<OnlineModel> OnlineModel::Build(const petri::PetriNet& net) {
   OnlineModel model;
   model.ctx = std::make_shared<DatalogContext>();
+  DatalogContext& ctx = *model.ctx;
 
-  DQSQ_ASSIGN_OR_RETURN(EncodedNet encoded, EncodeNet(net, *model.ctx));
+  DQSQ_ASSIGN_OR_RETURN(EncodedNet encoded, EncodeNet(net, ctx));
   // Open chain automata for every peer: edges arrive as facts.
   std::map<std::string, AlarmAutomaton> automata;
   for (petri::PeerIndex p = 0; p < net.num_peers(); ++p) {
-    AlarmAutomaton open;
-    open.num_states = 1;
-    open.accepting = {0};  // unused: queries are versioned
-    automata[net.peer_name(p)] = open;
+    automata[net.peer_name(p)] = AlarmAutomaton{};
   }
   SupervisorOptions sopts;
   sopts.open_automata = true;
-  sopts.emit_query = false;
-  DQSQ_ASSIGN_OR_RETURN(
-      SupervisorProgram sup,
-      BuildSupervisor(net, encoded, automata, sopts, *model.ctx));
+  DQSQ_ASSIGN_OR_RETURN(SupervisorProgram sup,
+                        BuildSupervisor(net, encoded, automata, sopts, ctx));
+  Program program = std::move(encoded.program);
+  for (Rule& rule : sup.program.rules) program.rules.push_back(std::move(rule));
+  DQSQ_RETURN_IF_ERROR(ValidateProgram(program, ctx));
 
-  model.base_program = std::move(encoded.program);
-  for (Rule& rule : sup.program.rules) {
-    model.base_program.rules.push_back(std::move(rule));
+  // Z and X free, every automaton position bound.
+  Adornment adornment(sup.query.atom.args.size(), true);
+  adornment[0] = adornment[1] = false;
+  DQSQ_ASSIGN_OR_RETURN(
+      AdornedProgram adorned,
+      AdornProgram(program, sup.query.atom.rel, adornment));
+  DQSQ_ASSIGN_OR_RETURN(
+      RewriteResult rewrite,
+      QsqRewrite(adorned, sup.query.atom.rel, adornment, ctx));
+  model.program = std::make_shared<const RewriteResult>(std::move(rewrite));
+
+  model.query_rel = sup.query.atom.rel;
+  model.observed_peers = std::move(sup.observed_peers);
+  for (const std::string& peer : model.observed_peers) {
+    model.edge_rels.push_back(
+        RelId{ctx.InternPredicate("aedge_" + peer, 3), sup.supervisor});
   }
-  model.supervisor = model.ctx->symbols().Name(sup.supervisor);
-  model.observed_peers = sup.observed_peers;
   return model;
 }
 
@@ -56,78 +67,67 @@ OnlineDiagnoser OnlineDiagnoser::CreateShared(const OnlineModel& model,
                                               const OnlineOptions& options) {
   OnlineDiagnoser d;
   d.options_ = options;
-  d.ctx_ = model.ctx;
-  d.db_ = std::make_unique<Database>(d.ctx_.get());
-  d.program_ = model.base_program;
-  d.supervisor_ = model.supervisor;
-  d.observed_peers_ = model.observed_peers;
-  for (const std::string& peer : d.observed_peers_) d.counts_[peer] = 0;
-  d.base_rules_ = d.program_.rules.size();
+  d.model_ = model;
+  d.positions_.assign(model.observed_peers.size(), 0);
   return d;
+}
+
+StatusOr<OnlineDiagnoser> OnlineDiagnoser::Resume(
+    const OnlineModel& model, const OnlineOptions& options,
+    petri::AlarmSequence history) {
+  OnlineDiagnoser d = CreateShared(model, options);
+  for (const petri::Alarm& a : history) DQSQ_RETURN_IF_ERROR(d.Append(a));
+  return d;
+}
+
+size_t OnlineDiagnoser::PeerIndex(const std::string& peer) const {
+  size_t p = 0;
+  while (p < positions_.size() && model_.observed_peers[p] != peer) ++p;
+  return p;
+}
+
+Status OnlineDiagnoser::Append(const petri::Alarm& alarm) {
+  const size_t peer = PeerIndex(alarm.peer);
+  if (peer == positions_.size()) {
+    return InvalidArgumentError("alarm from unknown peer " + alarm.peer);
+  }
+  if (db_) InsertEdge(peer, positions_[peer], alarm.symbol);
+  ++positions_[peer];
+  history_.push_back(alarm);
+  has_current_ = false;
+  return Status::Ok();
+}
+
+void OnlineDiagnoser::InsertEdge(size_t peer, uint32_t from,
+                                 const std::string& symbol) {
+  DatalogContext& ctx = *model_.ctx;
+  auto constant = [&](const std::string& name) {
+    return ctx.arena().MakeConstant(ctx.symbols().Intern(name));
+  };
+  const std::string& name = model_.observed_peers[peer];
+  const TermId edge[3] = {constant(StateConst(name, from)),
+                          constant("al_" + symbol),
+                          constant(StateConst(name, from + 1))};
+  db_->Insert(model_.edge_rels[peer], edge);
 }
 
 StatusOr<std::vector<Explanation>> OnlineDiagnoser::Observe(
     const petri::Alarm& alarm) {
-  auto it = counts_.find(alarm.peer);
-  if (it == counts_.end()) {
-    return InvalidArgumentError("alarm from unknown peer " + alarm.peer);
-  }
-  // The query rule of the previous step is superseded by this alarm: prune
-  // it before snapshotting the rollback point, so the rollback below is a
-  // plain truncation. A rolled-back (or merely queried) state re-emits its
-  // rule deterministically in Solve().
-  PruneQueryRule();
-  const size_t rules_before = program_.rules.size();
   const bool had_current = has_current_;
-
-  // One new chain edge: st_p_i --a--> st_p_{i+1}.
-  RuleBuilder b(ctx_.get());
-  uint32_t i = it->second;
-  program_.rules.push_back(b.Build(
-      b.MakeAtom("aedge_" + alarm.peer, supervisor_,
-                 {b.C(StateConst(alarm.peer, i)), b.C("al_" + alarm.symbol),
-                  b.C(StateConst(alarm.peer, i + 1))}),
-      {}));
-  ++it->second;
-  ++step_;
-  has_current_ = false;
-
+  DQSQ_RETURN_IF_ERROR(Append(alarm));
   StatusOr<std::vector<Explanation>> result = Solve();
   if (!result.ok()) {
-    // Transactional rollback: Solve() already removed the query rule it
-    // emitted, so truncating drops exactly the chain edge. Derived facts
-    // stay — they are sound and monotone, and a retry continues from them.
-    DQSQ_CHECK(program_.rules.size() == rules_before + 1);
-    program_.rules.resize(rules_before);
-    --it->second;
-    --step_;
+    // Solve() dropped the database, the only place the alarm's edge lived.
+    history_.pop_back();
+    --positions_[PeerIndex(alarm.peer)];
     has_current_ = had_current;
   }
   return result;
 }
 
-Status OnlineDiagnoser::ApplyObservationOnly(const petri::Alarm& alarm) {
-  auto it = counts_.find(alarm.peer);
-  if (it == counts_.end()) {
-    return InvalidArgumentError("alarm from unknown peer " + alarm.peer);
-  }
-  PruneQueryRule();
-  RuleBuilder b(ctx_.get());
-  uint32_t i = it->second;
-  program_.rules.push_back(b.Build(
-      b.MakeAtom("aedge_" + alarm.peer, supervisor_,
-                 {b.C(StateConst(alarm.peer, i)), b.C("al_" + alarm.symbol),
-                  b.C(StateConst(alarm.peer, i + 1))}),
-      {}));
-  ++it->second;
-  ++step_;
-  has_current_ = false;
-  return Status::Ok();
-}
-
 Status OnlineDiagnoser::ObserveCached(const petri::Alarm& alarm,
                                       std::vector<Explanation> explanations) {
-  DQSQ_RETURN_IF_ERROR(ApplyObservationOnly(alarm));
+  DQSQ_RETURN_IF_ERROR(Append(alarm));
   RestoreCurrent(std::move(explanations));
   last_new_facts_ = 0;  // nothing evaluated
   return Status::Ok();
@@ -143,54 +143,34 @@ StatusOr<std::vector<Explanation>> OnlineDiagnoser::Current() {
   return Solve();
 }
 
-void OnlineDiagnoser::PruneQueryRule() {
-  if (!query_rule_present_) return;
-  program_.rules.erase(program_.rules.begin() +
-                       static_cast<std::ptrdiff_t>(query_rule_index_));
-  query_rule_present_ = false;
-}
-
 StatusOr<std::vector<Explanation>> OnlineDiagnoser::Solve() {
-  // Versioned query: q_<step>(Z, X) :- cfgp(Z, W, Y, st_p1_c1, ...,
-  // st_pm_cm), inconf(Z, X) — the automaton positions are inlined
-  // constants, so the demand is fully bound on the index columns. The rule
-  // is emitted at most once per step: a retried Solve (after a budget
-  // failure) or a Current() call after ObserveCached finds it absent and
-  // regenerates it; a Current() retry while it is resident reuses it.
-  const std::string qname = "q_" + std::to_string(step_);
-  bool emitted = false;
-  if (!query_rule_present_ || query_rule_step_ != step_) {
-    PruneQueryRule();
-    RuleBuilder b(ctx_.get());
-    std::vector<Pattern> cfgp_args{b.V("Z"), b.V("W"), b.V("Y")};
-    for (const std::string& peer : observed_peers_) {
-      cfgp_args.push_back(b.C(StateConst(peer, counts_.at(peer))));
+  if (!db_) {
+    db_ = std::make_unique<Database>(model_.ctx.get());
+    std::vector<uint32_t> replayed(positions_.size(), 0);
+    for (const petri::Alarm& alarm : history_) {
+      const size_t p = PeerIndex(alarm.peer);
+      InsertEdge(p, replayed[p]++, alarm.symbol);
     }
-    Atom head = b.MakeAtom(qname, supervisor_, {b.V("Z"), b.V("X")});
-    Atom cfgp = b.MakeAtom("cfgp", supervisor_, std::move(cfgp_args));
-    Atom inconf = b.MakeAtom("inconf", supervisor_, {b.V("Z"), b.V("X")});
-    program_.rules.push_back(
-        b.Build(std::move(head), {std::move(cfgp), std::move(inconf)}));
-    query_rule_present_ = true;
-    query_rule_index_ = program_.rules.size() - 1;
-    query_rule_step_ = step_;
-    emitted = true;
   }
 
+  // q(Z, X, st_p1_c1, ..., st_pm_cm): the positions are the bound
+  // arguments the shared rewrite was compiled for.
   ParsedQuery query;
   query.num_vars = 2;
-  query.var_names = {"Z", "X"};
-  query.atom.rel.pred = ctx_->InternPredicate(qname, 2);
-  query.atom.rel.peer = ctx_->symbols().Intern(supervisor_);
+  query.atom.rel = model_.query_rel;
   query.atom.args = {Pattern::Var(0), Pattern::Var(1)};
+  for (size_t p = 0; p < positions_.size(); ++p) {
+    query.atom.args.push_back(Pattern::Const(model_.ctx->symbols().Intern(
+        StateConst(model_.observed_peers[p], positions_[p]))));
+  }
 
   EvalOptions eopts;
   eopts.max_facts = options_.max_facts;
   const size_t before = db_->TotalFacts();
   StatusOr<QueryResult> qres =
-      SolveQuery(program_, *db_, query, Strategy::kQsq, eopts);
+      EvaluateRewritten(*model_.program, query, *db_, eopts);
   if (!qres.ok()) {
-    if (emitted) PruneQueryRule();
+    db_.reset();
     return qres.status();
   }
   last_new_facts_ = db_->TotalFacts() - before;
@@ -198,7 +178,8 @@ StatusOr<std::vector<Explanation>> OnlineDiagnoser::Solve() {
   std::map<TermId, std::vector<std::string>> by_config;
   for (const Tuple& row : qres->answers) {
     auto& events = by_config[row[0]];
-    std::string term = ctx_->arena().ToString(row[1], ctx_->symbols());
+    std::string term =
+        model_.ctx->arena().ToString(row[1], model_.ctx->symbols());
     if (term != "r") events.push_back(std::move(term));
   }
   std::vector<Explanation> out;

@@ -1,31 +1,25 @@
 // Online diagnosis: alarms arrive one at a time, and the supervisor keeps
 // its materialization across steps (the paper's Remark 2 — results may
 // flow before the computation is complete — and the incremental spirit of
-// Remark 5). Each observed alarm adds one automaton-edge fact to the
-// accumulated program; demand-driven evaluation over the shared database
-// then computes only the delta: the unfolding fragment materialized for the
-// previous prefix is reused, never re-derived. The program carries at most
-// one versioned query rule at a time — the rule for the current step —
-// superseded query rules are pruned (their derived facts stay, which is
-// the reuse §3.2 is about).
+// Remark 5). Each observed alarm adds one automaton-edge fact
+// aedge_<p>(st_p_i, al_a, st_p_{i+1}) to the session's database;
+// demand-driven evaluation then computes only the delta: the unfolding
+// fragment materialized for the previous prefix is reused, never
+// re-derived.
 //
-// State-mutation contract: Observe is transactional. A failed evaluation
-// (e.g. the per-step fact budget) rolls the appended chain edge, the
-// per-peer counter, the step counter and the query rule back, so a retry
-// never duplicates an edge or a query rule. Facts already derived by the
-// failed evaluation stay in the database — derivations are sound and
-// monotone, so a retry simply continues from them.
+// A QSQ rewrite depends on the call pattern, not on the constants bound
+// into it (§3.2), so OnlineModel::Build rewrites the supervisor's
+// positional query q(Z, X, S_1..S_m) once for q^{ff b…b}. Every session of
+// the model shares that immutable program and the model's DatalogContext;
+// a session is its alarm history, its current explanations and an
+// optional Database, and each evaluation binds the current positions.
 //
-// Multi-tenant sharing (docs/ARCHITECTURE.md §service): the encoder and
-// supervisor output for one plant model is session-independent, so
-// OnlineModel::Build factors it out. Sessions created from one model via
-// CreateShared share the model's DatalogContext — one hash-consed term
-// arena, symbol table and predicate registry across every session — while
-// each session keeps its own Database and rule tail.
+// Observe is transactional: a failed evaluation (e.g. the per-step fact
+// budget) pops the alarm and drops the database, so no stale edge
+// survives; the database is rebuilt from the history when next needed.
 #ifndef DQSQ_DIAGNOSIS_ONLINE_H_
 #define DQSQ_DIAGNOSIS_ONLINE_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,8 +27,8 @@
 #include "common/status.h"
 #include "datalog/engine.h"
 #include "diagnosis/explanation.h"
-#include "diagnosis/supervisor.h"
 #include "petri/alarm.h"
+#include "petri/net.h"
 
 namespace dqsq::diagnosis {
 
@@ -44,55 +38,55 @@ struct OnlineOptions {
 };
 
 /// The session-independent part of an online diagnoser for one plant
-/// model: the shared naming context (term arena, symbols, predicates) and
-/// the encoded base program (net encoding + open-automaton supervisor).
-/// Build once per plant model; every session of that model copies the base
-/// rules but shares the context, so hash-consed terms are interned exactly
-/// once across all sessions.
+/// model, compiled once. Cheap to copy: copies share the context and the
+/// compiled program.
 struct OnlineModel {
   std::shared_ptr<DatalogContext> ctx;
-  Program base_program;
-  std::string supervisor;
+  /// The QSQ rewrite of net encoding + open-automaton supervisor for
+  /// q^{ff b…b}: immutable, evaluated by every session over its own
+  /// database.
+  std::shared_ptr<const RewriteResult> program;
+  /// q@sup(Z, X, S_1..S_m): S_j is the automaton position of
+  /// observed_peers[j], bound to a constant per evaluation.
+  RelId query_rel;
+  /// The peers, in query-argument order, and their aedge relations.
   std::vector<std::string> observed_peers;
+  std::vector<RelId> edge_rels;
 
   static StatusOr<OnlineModel> Build(const petri::PetriNet& net);
 };
 
 class OnlineDiagnoser {
  public:
-  /// Prepares the encoder and supervisor programs for `net`. Every peer
-  /// gets an open chain automaton; edges are appended per observed alarm.
+  /// Compiles a private model of `net` and opens a session over it.
   static StatusOr<OnlineDiagnoser> Create(const petri::PetriNet& net,
                                           const OnlineOptions& options);
 
-  /// A session over a prebuilt model, sharing the model's DatalogContext
-  /// (and therefore its term arena) with every other session of the model.
+  /// A session over a prebuilt model, sharing its compiled program and
+  /// DatalogContext with every other session of the model.
   static OnlineDiagnoser CreateShared(const OnlineModel& model,
                                       const OnlineOptions& options);
 
-  OnlineDiagnoser(OnlineDiagnoser&&) = default;
-  OnlineDiagnoser& operator=(OnlineDiagnoser&&) = default;
+  /// A session that has already observed `history` (hibernation restore).
+  /// Nothing is evaluated and no database is built until the next
+  /// evaluation. Fails for alarms from peers the net does not have.
+  static StatusOr<OnlineDiagnoser> Resume(const OnlineModel& model,
+                                          const OnlineOptions& options,
+                                          petri::AlarmSequence history);
 
   /// Feeds the next alarm and returns the explanations of the whole prefix
   /// observed so far. Fails for alarms from peers the net does not have.
-  /// Transactional: on evaluation failure every state mutation is rolled
-  /// back, so the same alarm can be retried (e.g. after raising the
-  /// budget) without duplicating the chain edge or the query rule.
+  /// Transactional: on evaluation failure the alarm is forgotten and the
+  /// database dropped, so the same or another alarm can follow (e.g. after
+  /// raising the budget) as if the failed call never happened.
   StatusOr<std::vector<Explanation>> Observe(const petri::Alarm& alarm);
 
-  /// Applies the alarm's state mutation (chain edge, counters) without
-  /// evaluating, and installs `explanations` as the current answer. Used
-  /// when a cross-session prefix cache already knows the answer for the
-  /// resulting prefix; the skipped evaluation re-runs on demand at the
-  /// next cache miss (demand-driven evaluation does not depend on the
-  /// intermediate steps having been materialized).
+  /// Appends the alarm without evaluating and installs `explanations` as
+  /// the current answer. Used when a cross-session prefix cache already
+  /// knows the answer for the resulting prefix; demand-driven evaluation
+  /// does not depend on the intermediate steps having been materialized.
   Status ObserveCached(const petri::Alarm& alarm,
                        std::vector<Explanation> explanations);
-
-  /// Applies the alarm's state mutation only; the current answer becomes
-  /// unknown (computed on the next Current/Observe). Hibernation restore
-  /// replays a session's alarm history through this.
-  Status ApplyObservationOnly(const petri::Alarm& alarm);
 
   /// Installs `explanations` as the (already computed) current answer.
   void RestoreCurrent(std::vector<Explanation> explanations);
@@ -102,59 +96,52 @@ class OnlineDiagnoser {
   StatusOr<std::vector<Explanation>> Current();
 
   /// Alarms observed so far.
-  size_t num_observed() const { return step_; }
+  size_t num_observed() const { return history_.size(); }
 
-  /// Facts accumulated across all steps (monotone; the reuse measure).
-  size_t total_facts() const { return db_->TotalFacts(); }
+  /// Facts in the session's database (0 while it is dropped).
+  size_t total_facts() const { return db_ ? db_->TotalFacts() : 0; }
 
   /// New facts derived by the most recent evaluation only.
   size_t last_step_new_facts() const { return last_new_facts_; }
 
-  /// Rules currently in the program: base rules + one chain-edge fact per
-  /// observed alarm + at most one versioned query rule. The bound is the
-  /// regression pin for the query-rule pruning fix.
-  size_t num_rules() const { return program_.rules.size(); }
-
-  /// Rules the session started with (before any alarm).
-  size_t base_rules() const { return base_rules_; }
-
-  /// Whether the current answer is cached (no evaluation on Current()).
-  bool has_current() const { return has_current_; }
+  /// The cached current answer, or null if Current() would evaluate.
+  const std::vector<Explanation>* cached_current() const {
+    return has_current_ ? &current_explanations_ : nullptr;
+  }
 
   /// Adjusts the per-evaluation fact budget (admission control hands
   /// sessions differentiated budgets; a budget-failed Observe may be
   /// retried after raising it).
   void set_max_facts(size_t max_facts) { options_.max_facts = max_facts; }
-  size_t max_facts() const { return options_.max_facts; }
 
  private:
   OnlineDiagnoser() = default;
 
-  /// Emits the versioned query rule q_<step> for the current per-peer
-  /// positions — at most once per step, pruning the superseded rule — and
-  /// evaluates it. On failure the emitted rule is removed again.
+  /// Index of `peer` in the model's observed peers; their count if unknown.
+  size_t PeerIndex(const std::string& peer) const;
+
+  /// Appends `alarm` to the history (and its edge to the database, if
+  /// any). Fails for unknown peers, leaving the session untouched.
+  Status Append(const petri::Alarm& alarm);
+
+  /// Inserts the chain edge of peer `peer`'s alarm `symbol` from position
+  /// `from` into the database.
+  void InsertEdge(size_t peer, uint32_t from, const std::string& symbol);
+
+  /// Evaluates the query at the current positions, first rebuilding the
+  /// database from the history if it was dropped. Drops it on failure.
   StatusOr<std::vector<Explanation>> Solve();
 
-  /// Removes the resident versioned query rule, if any.
-  void PruneQueryRule();
-
   OnlineOptions options_;
-  std::shared_ptr<DatalogContext> ctx_;
-  std::unique_ptr<Database> db_;
-  Program program_;
-  std::string supervisor_;
-  std::vector<std::string> observed_peers_;
+  OnlineModel model_;
+  petri::AlarmSequence history_;
+  /// Per observed peer (model order): alarms of that peer in history_.
+  std::vector<uint32_t> positions_;
   bool has_current_ = false;
   std::vector<Explanation> current_explanations_;
-  std::map<std::string, uint32_t> counts_;
-  size_t step_ = 0;
+  /// Null until the first evaluation and after a failed one.
+  std::unique_ptr<Database> db_;
   size_t last_new_facts_ = 0;
-  size_t base_rules_ = 0;
-  // The one resident versioned query rule (satellites: emitted at most
-  // once per step, superseded rules pruned).
-  bool query_rule_present_ = false;
-  size_t query_rule_index_ = 0;
-  size_t query_rule_step_ = 0;
 };
 
 }  // namespace dqsq::diagnosis

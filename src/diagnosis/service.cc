@@ -125,11 +125,10 @@ Status DiagnosisService::UnregisterModel(const std::string& model) {
   if (it == models_.end()) {
     return NotFoundError("unknown model: " + model);
   }
-  // Resident diagnosers borrow the model's DatalogContext (CreateShared),
-  // so every resident session of this model must be hibernated before the
-  // entry — and the context — goes away. Hibernated images carry the
-  // fingerprint, so these sessions stay wakeable iff a structurally
-  // identical model is registered under the same name later.
+  // Resident sessions of this model are hibernated, so that they — like
+  // the already hibernated ones — wake only through EnsureResident's
+  // fingerprint gate: they stay wakeable iff a structurally identical
+  // model is registered under the same name later.
   for (auto lit = resident_lru_.begin(); lit != resident_lru_.end();) {
     Session* s = *lit;
     ++lit;  // HibernateSession erases s->lru_pos
@@ -304,15 +303,9 @@ std::string DiagnosisService::SerializeSession(Session& s) {
     w.Str(alarm.symbol);
     w.Str(alarm.peer);
   }
-  const bool has_current = s.diagnoser->has_current();
-  w.Bool(has_current);
-  if (has_current) {
-    // has_current() guarantees Current() returns the cached copy without
-    // evaluating.
-    StatusOr<std::vector<Explanation>> current = s.diagnoser->Current();
-    DQSQ_CHECK_OK(current.status());
-    EncodeExplanations(*current, w);
-  }
+  const std::vector<Explanation>* current = s.diagnoser->cached_current();
+  w.Bool(current != nullptr);
+  if (current != nullptr) EncodeExplanations(*current, w);
   return w.Take();
 }
 
@@ -343,31 +336,32 @@ Status DiagnosisService::EnsureResident(Session& s) {
   const std::string name = r.Str();
   const std::string model = r.Str();
   const uint64_t fingerprint = r.U64();
-  DQSQ_CHECK(name == s.name) << "hibernation image names " << name;
+  const uint64_t n = r.U64();
+  // The store is caller-supplied: an image that is not this session's
+  // fails the call, not the process.
+  auto foreign = [&] {
+    return InternalError("hibernation image under " + StoreKey(s) +
+                         " is not session " + s.name + "'s");
+  };
+  if (name != s.name || n != s.history.size()) return foreign();
   if (model != s.model_name || fingerprint != s.model_fingerprint) {
     return FailedPreconditionError(
         "hibernation image of session " + s.name + " was taken under model " +
         model + " (fingerprint mismatch with its admission record)");
   }
-  const uint64_t n = r.U64();
-  DQSQ_CHECK(n == s.history.size());
-  petri::AlarmSequence history;
-  history.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    petri::Alarm alarm;
+  petri::AlarmSequence history(n);
+  for (petri::Alarm& alarm : history) {
     alarm.symbol = r.Str();
     alarm.peer = r.Str();
-    history.push_back(std::move(alarm));
   }
-  auto d = std::make_unique<OnlineDiagnoser>(OnlineDiagnoser::CreateShared(
-      entry->model, OnlineOptions{s.max_facts}));
-  for (const petri::Alarm& alarm : history) {
-    DQSQ_RETURN_IF_ERROR(d->ApplyObservationOnly(alarm));
-  }
-  if (r.Bool()) d->RestoreCurrent(DecodeExplanations(r));
-  DQSQ_CHECK(r.AtEnd());
+  DQSQ_ASSIGN_OR_RETURN(
+      OnlineDiagnoser d,
+      OnlineDiagnoser::Resume(entry->model, OnlineOptions{s.max_facts},
+                              history));
+  if (r.Bool()) d.RestoreCurrent(DecodeExplanations(r));
+  if (!r.AtEnd()) return foreign();
   s.history = std::move(history);
-  s.diagnoser = std::move(d);
+  s.diagnoser = std::make_unique<OnlineDiagnoser>(std::move(d));
   s.lru_pos = resident_lru_.insert(resident_lru_.begin(), &s);
   CountMetric("diag.service.sessions_restored");
   Status cap = EnforceResidencyCap(&s);

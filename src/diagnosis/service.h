@@ -4,9 +4,10 @@
 // more than a session map is what the sessions share and how they are
 // bounded:
 //
-//  * Shared hash-consed term arena. All sessions of one model run over the
-//    model's DatalogContext (OnlineModel), so every Skolem term, symbol
-//    and predicate is interned once, not once per session.
+//  * One compiled model. All sessions of one model run the model's one
+//    QSQ-rewritten program over its DatalogContext (OnlineModel), so the
+//    rewrite runs once and every Skolem term, symbol and predicate is
+//    interned once, not once per session.
 //  * Shared subquery/unfolding-prefix cache. A session's answers depend
 //    only on its per-peer observation subsequences (the paper's §4.2
 //    observation semantics), so the service keys a SubqueryCache on that
@@ -18,12 +19,15 @@
 //    under session_max_facts (adjustable per session for differentiated
 //    tiers).
 //  * Cold-session hibernation. At most max_resident_sessions keep their
-//    diagnoser (program + database) in memory; colder sessions are
-//    serialized through the PeerSnapshot byte codec (dist/snapshot.h) into
-//    a DurableStore and rebuilt on their next alarm. The hibernation image
-//    is the session's alarm history plus its cached answer — restore
-//    replays the history into a fresh diagnoser (no evaluation), and the
-//    shared prefix cache makes the next cold query cheap.
+//    diagnoser (history, current answer and database) in memory; colder
+//    sessions are serialized through the PeerSnapshot byte codec
+//    (dist/snapshot.h) into a DurableStore and their database is dropped.
+//    The hibernation image is the session's alarm history plus its cached
+//    answer — restore hands both to a fresh diagnoser without evaluating
+//    or building a rule; the database is rebuilt from the history at the
+//    session's next cache miss, and the shared prefix cache makes that
+//    rare. An image that names another session, holds another number of
+//    alarms or has trailing bytes fails the call instead of aborting.
 //
 // Single-threaded by design, like the evaluation core: one service
 // instance per serving thread, models shared read-only. Metrics are
@@ -80,7 +84,7 @@ class DiagnosisService {
   DiagnosisService(const DiagnosisService&) = delete;
   DiagnosisService& operator=(const DiagnosisService&) = delete;
 
-  /// Registers a plant model (shared context + base program + prefix
+  /// Registers a plant model (shared context + compiled program + prefix
   /// cache) under `model`. Fails if the name is taken.
   Status RegisterModel(const std::string& model, const petri::PetriNet& net);
 

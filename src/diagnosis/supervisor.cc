@@ -33,7 +33,7 @@ StatusOr<SupervisorProgram> BuildSupervisor(
   std::vector<std::string> observed;
   for (const auto& [peer, automaton] : automata) {
     observed.push_back(peer);
-    if (automaton.accepting.empty()) {
+    if (!options.open_automata && automaton.accepting.empty()) {
       return InvalidArgumentError("automaton of peer " + peer +
                                   " has no accepting state");
     }
@@ -56,6 +56,7 @@ StatusOr<SupervisorProgram> BuildSupervisor(
                       b.C(state_const(peer, edge.to))}),
           {}));
     }
+    if (options.open_automata) continue;  // the query binds positions
     for (uint32_t s : automaton.accepting) {
       prog.rules.push_back(b.Build(
           b.MakeAtom("aaccept_" + peer, sup, {b.C(state_const(peer, s))}),
@@ -240,33 +241,35 @@ StatusOr<SupervisorProgram> BuildSupervisor(
   out.observed_peers = observed;
   out.cfgp_arity = static_cast<uint32_t>(3 + m + (hidden ? 1 : 0));
 
-  // The query: configurations whose every automaton accepts.
-  if (options.emit_query) {
+  // The query: configurations whose every automaton accepts. With open
+  // automata the positions F_j become arguments instead, bound per call.
+  {
     std::vector<Atom> body;
     std::vector<Pattern> args{b.V("Z"), b.V("W"), b.V("Y")};
     for (size_t j = 0; j < m; ++j) args.push_back(b.V("F" + std::to_string(j)));
     if (hidden) args.push_back(b.V("H"));
     body.push_back(b.MakeAtom("cfgp", sup, std::move(args)));
-    for (size_t j = 0; j < m; ++j) {
+    for (size_t j = 0; j < m && !options.open_automata; ++j) {
       body.push_back(b.MakeAtom("aaccept_" + observed[j], sup,
                                 {b.V("F" + std::to_string(j))}));
     }
     body.push_back(b.MakeAtom("inconf", sup, {b.V("Z"), b.V("X")}));
-    prog.rules.push_back(b.Build(
-        b.MakeAtom("q", sup, {b.V("Z"), b.V("X")}), std::move(body)));
+    std::vector<Pattern> head{b.V("Z"), b.V("X")};
+    for (size_t j = 0; j < m && options.open_automata; ++j) {
+      head.push_back(b.V("F" + std::to_string(j)));
+    }
+    prog.rules.push_back(
+        b.Build(b.MakeAtom("q", sup, std::move(head)), std::move(body)));
   }
 
   DQSQ_RETURN_IF_ERROR(ValidateProgram(prog, ctx));
 
-  if (options.emit_query) {
-    // The query atom q@sup(Z, X).
-    ParsedQuery query;
-    query.num_vars = 2;
-    query.var_names = {"Z", "X"};
-    query.atom.rel.pred = ctx.InternPredicate("q", 2);
-    query.atom.rel.peer = out.supervisor;
-    query.atom.args = {Pattern::Var(0), Pattern::Var(1)};
-    out.query = std::move(query);
+  // The query atom: q@sup(Z, X [, F0..F{m-1}]) over fresh query variables.
+  const Rule& q_rule = prog.rules.back();
+  out.query.atom.rel = q_rule.head.rel;
+  for (const Pattern& arg : q_rule.head.args) {
+    out.query.atom.args.push_back(Pattern::Var(out.query.num_vars++));
+    out.query.var_names.push_back(q_rule.var_names[arg.var()]);
   }
   return out;
 }

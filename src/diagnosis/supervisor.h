@@ -14,6 +14,8 @@
 //   aedge_<peer>(s, a, s')          the peer's alarm automaton edges
 //   aaccept_<peer>(s)               accepting states
 //   q(z, x)                         the diagnosis query relation
+//   q(z, x, f_1..f_m)               its open-automata form: the automaton
+//       positions are arguments, bound per call (online diagnosis)
 //
 // Configuration ids are Skolem chains h(z, x) rooted at h(r).
 #ifndef DQSQ_DIAGNOSIS_SUPERVISOR_H_
@@ -55,16 +57,14 @@ struct SupervisorOptions {
   /// Open automata (online diagnosis): generate extension rules for every
   /// observable transition of peers present in `automata`, even when the
   /// automaton does not (yet) mention their alarm symbol — edges arrive
-  /// later as facts.
+  /// later as facts. Accepting states are then ignored: the query is
+  /// q(Z, X, F0..F{m-1}), whose automaton positions the caller binds.
   bool open_automata = false;
-  /// Emit the q(Z, X) query rule reading the aaccept relations. Online
-  /// diagnosis versions its own query rules instead.
-  bool emit_query = true;
 };
 
 struct SupervisorProgram {
   Program program;       // supervisor rules + automaton facts
-  ParsedQuery query;     // q@sup0(Z, X) (unset when emit_query is false)
+  ParsedQuery query;     // q@sup0(Z, X), or q@sup0(Z, X, F0..) if open
   SymbolId supervisor;   // the supervisor's peer symbol
   /// Index positions of the cfgp relation, in order (sorted peer names).
   std::vector<std::string> observed_peers;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "diagnosis/diagnoser.h"
 #include "petri/examples.h"
 
@@ -111,35 +112,83 @@ TEST(OnlineDiagnoserTest, InterleavedPeersMatchBatch) {
 }
 
 TEST(OnlineDiagnoserTest, ProgramKeepsAtMostOneQueryRule) {
-  // Regression pin for the query-rule pruning fix: the program holds the
-  // base rules, one chain-edge fact per observed alarm and at most one
-  // versioned query rule — superseded q_<i> rules must not accumulate.
+  // The model's compiled program holds exactly one rule deriving the
+  // query's answer relation, and sessions never add rules to it: each
+  // alarm is a fact in the session's own database.
   petri::PetriNet net = petri::MakePaperNet();
-  auto online = OnlineDiagnoser::Create(net, OnlineOptions{});
-  ASSERT_TRUE(online.ok());
-  const size_t base = online->base_rules();
-  EXPECT_EQ(online->num_rules(), base);
+  auto model = OnlineModel::Build(net);
+  ASSERT_TRUE(model.ok());
+  const Program& program = model->program->program;
+  auto query_rules = [&] {
+    size_t n = 0;
+    for (const Rule& rule : program.rules) {
+      n += rule.head.rel == model->program->answer_rel ? 1 : 0;
+    }
+    return n;
+  };
+  const size_t rules = program.rules.size();
+  EXPECT_EQ(query_rules(), 1u);
 
-  // Current() on the empty prefix emits q_0 exactly once.
-  ASSERT_TRUE(online->Current().ok());
-  EXPECT_EQ(online->num_rules(), base + 1);
-  ASSERT_TRUE(online->Current().ok());
-  EXPECT_EQ(online->num_rules(), base + 1);
-
+  OnlineDiagnoser online = OnlineDiagnoser::CreateShared(*model, {});
+  ASSERT_TRUE(online.Current().ok());
+  ASSERT_TRUE(online.Current().ok());
   petri::AlarmSequence alarms =
       petri::MakeAlarms({{"b", "p1"}, {"a", "p2"}, {"c", "p1"}});
-  size_t observed = 0;
+  petri::AlarmSequence prefix;
   for (const petri::Alarm& alarm : alarms) {
-    ASSERT_TRUE(online->Observe(alarm).ok());
-    ++observed;
-    EXPECT_EQ(online->num_rules(), base + observed + 1)
-        << "after " << observed << " alarms";
+    prefix.push_back(alarm);
+    auto result = online.Observe(alarm);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(*result, Batch(net, prefix));
+  }
+  EXPECT_EQ(online.num_observed(), 3u);
+  EXPECT_EQ(program.rules.size(), rules);
+  EXPECT_EQ(query_rules(), 1u);
+}
+
+TEST(OnlineDiagnoserTest, CompiledOnceAcrossSessionsAndAlarms) {
+  // The QSQ rewrite runs in OnlineModel::Build and never again: every
+  // evaluation of every session reuses it, and no evaluation interns a
+  // per-step predicate.
+  petri::PetriNet net = petri::MakePaperNet(/*with_loop=*/true);
+  Counter& rewrites = MetricsRegistry::Global().GetCounter(
+      "datalog.qsq.rewrites", {{"variant", "qsq"}});
+  auto model = OnlineModel::Build(net);
+  ASSERT_TRUE(model.ok());
+  const uint64_t rewrites_after_build = rewrites.value();
+
+  OnlineDiagnoser a = OnlineDiagnoser::CreateShared(*model, {});
+  OnlineDiagnoser b = OnlineDiagnoser::CreateShared(*model, {});
+  ASSERT_TRUE(a.Current().ok());
+  const size_t predicates = model->ctx->num_predicates();
+
+  petri::AlarmSequence stream_a =
+      petri::MakeAlarms({{"a", "p2"}, {"b", "p1"}, {"c", "p2"}});
+  petri::AlarmSequence stream_b =
+      petri::MakeAlarms({{"b", "p1"}, {"a", "p2"}, {"c", "p2"}});
+  std::vector<std::vector<Explanation>> answers_a, answers_b;
+  for (size_t i = 0; i < stream_a.size(); ++i) {
+    auto ra = a.Observe(stream_a[i]);
+    auto rb = b.Observe(stream_b[i]);
+    ASSERT_TRUE(ra.ok());
+    ASSERT_TRUE(rb.ok());
+    answers_a.push_back(*ra);
+    answers_b.push_back(*rb);
+    EXPECT_EQ(rewrites.value(), rewrites_after_build) << "alarm " << i;
+    EXPECT_EQ(model->ctx->num_predicates(), predicates) << "alarm " << i;
+  }
+
+  // Batch runs rewrite per call, so they are checked after the window.
+  for (size_t i = 0; i < stream_a.size(); ++i) {
+    petri::AlarmSequence prefix_a(stream_a.begin(), stream_a.begin() + i + 1);
+    petri::AlarmSequence prefix_b(stream_b.begin(), stream_b.begin() + i + 1);
+    EXPECT_EQ(answers_a[i], Batch(net, prefix_a));
+    EXPECT_EQ(answers_b[i], Batch(net, prefix_b));
   }
 }
 
 TEST(OnlineDiagnoserTest, FailedObserveRollsBackAndRetrySucceeds) {
-  // Regression for the transactional-Observe fix: a budget-failed Observe
-  // must leave no trace (no chain edge, no counter bump, no query rule),
+  // A budget-failed Observe must leave no trace (no alarm in the history),
   // and retrying the same alarm after raising the budget must succeed with
   // the same answers a fresh diagnoser computes.
   petri::PetriNet net = petri::MakePaperNet();
@@ -147,25 +196,44 @@ TEST(OnlineDiagnoserTest, FailedObserveRollsBackAndRetrySucceeds) {
   tiny.max_facts = 1;
   auto online = OnlineDiagnoser::Create(net, tiny);
   ASSERT_TRUE(online.ok());
-  const size_t base = online->num_rules();
 
   auto fail1 = online->Observe({"b", "p1"});
   ASSERT_FALSE(fail1.ok());
   EXPECT_EQ(online->num_observed(), 0u);
-  EXPECT_EQ(online->num_rules(), base);
 
-  // The retry is idempotent: same failure, still no duplicated edge.
+  // The retry is idempotent: same failure, still nothing observed.
   auto fail2 = online->Observe({"b", "p1"});
   ASSERT_FALSE(fail2.ok());
   EXPECT_EQ(online->num_observed(), 0u);
-  EXPECT_EQ(online->num_rules(), base);
 
   online->set_max_facts(5'000'000);
   auto ok = online->Observe({"b", "p1"});
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(*ok, Batch(net, petri::MakeAlarms({{"b", "p1"}})));
   EXPECT_EQ(online->num_observed(), 1u);
-  EXPECT_EQ(online->num_rules(), base + 1 + 1);  // one edge + one query rule
+}
+
+TEST(OnlineDiagnoserTest, FailedObserveLeavesNoStaleEdge) {
+  // The session's database is materialized before the failing alarm, so
+  // a rollback that kept it would keep the failed alarm's chain edge —
+  // and a later alarm at the same position would see the failed one's
+  // explanations. Dropping the database rules that out.
+  petri::PetriNet net = petri::MakePaperNet();
+  ASSERT_FALSE(Batch(net, petri::MakeAlarms({{"b", "p1"}})).empty());
+  auto online = OnlineDiagnoser::Create(net, OnlineOptions{});
+  ASSERT_TRUE(online.ok());
+  ASSERT_TRUE(online->Current().ok());
+  EXPECT_GT(online->total_facts(), 0u);
+
+  online->set_max_facts(1);
+  ASSERT_FALSE(online->Observe({"b", "p1"}).ok());
+  EXPECT_EQ(online->num_observed(), 0u);
+
+  online->set_max_facts(5'000'000);
+  auto other = online->Observe({"c", "p1"});
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  EXPECT_EQ(*other, Batch(net, petri::MakeAlarms({{"c", "p1"}})));
+  EXPECT_EQ(online->num_observed(), 1u);
 }
 
 TEST(OnlineDiagnoserTest, FailedCurrentRetryDoesNotDuplicateQueryRules) {
@@ -174,18 +242,14 @@ TEST(OnlineDiagnoserTest, FailedCurrentRetryDoesNotDuplicateQueryRules) {
   tiny.max_facts = 1;
   auto online = OnlineDiagnoser::Create(net, tiny);
   ASSERT_TRUE(online.ok());
-  const size_t base = online->num_rules();
 
   ASSERT_FALSE(online->Current().ok());
-  EXPECT_EQ(online->num_rules(), base);
   ASSERT_FALSE(online->Current().ok());
-  EXPECT_EQ(online->num_rules(), base);
 
   online->set_max_facts(5'000'000);
   auto ok = online->Current();
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(*ok, Batch(net, {}));
-  EXPECT_EQ(online->num_rules(), base + 1);
 }
 
 TEST(OnlineDiagnoserTest, SharedModelSessionsMatchIsolatedOnes) {

@@ -105,6 +105,59 @@ TEST(DiagnosisServiceTest, BudgetExhaustedObserveRetryIsIdempotent) {
   EXPECT_EQ(*ok, Batch(net, petri::MakeAlarms({{"b", "p1"}})));
 }
 
+TEST(DiagnosisServiceTest, FailedObserveLeavesNoStaleEdge) {
+  // The session's database exists before the budget failure; the failed
+  // alarm's chain edge must not survive into the next, different alarm.
+  DiagnosisService service;
+  petri::PetriNet net = petri::MakePaperNet();
+  ASSERT_TRUE(service.RegisterModel("paper", net).ok());
+  ASSERT_TRUE(service.OpenSession("s", "paper").ok());
+  ASSERT_TRUE(service.Current("s").ok());
+
+  ASSERT_TRUE(service.SetSessionBudget("s", 1).ok());
+  EXPECT_FALSE(service.Observe("s", {"b", "p1"}).ok());
+  ASSERT_TRUE(service.SetSessionBudget("s", 5'000'000).ok());
+  auto other = service.Observe("s", {"c", "p1"});
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  EXPECT_EQ(*other, Batch(net, petri::MakeAlarms({{"c", "p1"}})));
+  auto observed = service.NumObserved("s");
+  ASSERT_TRUE(observed.ok());
+  EXPECT_EQ(*observed, 1u);
+}
+
+TEST(DiagnosisServiceTest, ForeignHibernationImageFailsCleanly) {
+  // The durable store is caller-supplied: a well-formed image of another
+  // session under this session's key must fail the wake, not abort, and
+  // leave the session hibernated.
+  dist::InMemoryDurableStore store;
+  ServiceOptions opts;
+  opts.store = &store;
+  DiagnosisService service(opts);
+  petri::PetriNet net = petri::MakePaperNet();
+  ASSERT_TRUE(service.RegisterModel("paper", net).ok());
+  ASSERT_TRUE(service.OpenSession("a", "paper").ok());
+  ASSERT_TRUE(service.OpenSession("b", "paper").ok());
+  ASSERT_TRUE(service.Observe("a", {"b", "p1"}).ok());
+  ASSERT_TRUE(service.Observe("b", {"a", "p2"}).ok());
+  ASSERT_TRUE(service.Hibernate("a").ok());
+  ASSERT_TRUE(service.Hibernate("b").ok());
+
+  std::optional<std::string> own = store.Get("diag.session/a");
+  std::optional<std::string> foreign = store.Get("diag.session/b");
+  ASSERT_TRUE(own.has_value());
+  ASSERT_TRUE(foreign.has_value());
+  store.Put("diag.session/a", *foreign);
+  EXPECT_FALSE(service.Observe("a", {"a", "p2"}).ok());
+  EXPECT_FALSE(service.Current("a").ok());
+  EXPECT_FALSE(service.is_resident("a"));
+
+  // With its own image back, the session wakes and answers correctly.
+  store.Put("diag.session/a", *own);
+  auto next = service.Observe("a", {"a", "p2"});
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(*next, Batch(net, petri::MakeAlarms({{"b", "p1"}, {"a", "p2"}})));
+}
+
 TEST(DiagnosisServiceTest, HibernateRestoreRoundTripsByteIdentically) {
   dist::InMemoryDurableStore store;
   ServiceOptions opts;

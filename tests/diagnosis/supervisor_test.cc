@@ -93,14 +93,11 @@ TEST(SupervisorTest, UnmentionedSymbolsPrunedUnlessOpen) {
   // ...but kept under open automata (online diagnosis).
   SupervisorOptions open_opts;
   open_opts.open_automata = true;
-  open_opts.emit_query = false;
   auto open = std::make_unique<Built>();
   auto enc = EncodeNet(net, open->ctx);
   ASSERT_TRUE(enc.ok());
   std::map<std::string, AlarmAutomaton> automata;
-  AlarmAutomaton empty;
-  empty.accepting = {0};
-  automata["p2"] = empty;
+  automata["p2"] = AlarmAutomaton{};  // no edges, no accepting state
   auto sup = BuildSupervisor(net, *enc, automata, open_opts, open->ctx);
   ASSERT_TRUE(sup.ok());
   std::string open_text = ProgramToString(sup->program, open->ctx);
@@ -108,14 +105,40 @@ TEST(SupervisorTest, UnmentionedSymbolsPrunedUnlessOpen) {
   EXPECT_NE(open_text.find("tr_v,"), std::string::npos);
 }
 
-TEST(SupervisorTest, EmitQueryFalseOmitsQRule) {
+TEST(SupervisorTest, QueryRuleClosedAcceptsOpenBindsPositions) {
   petri::PetriNet net = petri::MakePaperNet();
-  SupervisorOptions opts;
-  opts.emit_query = false;
-  auto built = BuildFor(net, petri::MakeAlarms({{"a", "p2"}}), opts);
-  for (const Rule& rule : built->sup.program.rules) {
-    EXPECT_NE(built->ctx.PredicateName(rule.head.rel.pred), "q");
-  }
+  auto query_rule = [](const Built& built, const SupervisorProgram& sup) {
+    for (const Rule& rule : sup.program.rules) {
+      if (rule.head.rel == sup.query.atom.rel) {
+        return RuleToString(rule, built.ctx);
+      }
+    }
+    return std::string("<none>");
+  };
+
+  // Closed automata: q(Z, X) over the accepting states.
+  auto closed = BuildFor(net, petri::MakeAlarms({{"a", "p2"}, {"b", "p1"}}));
+  EXPECT_EQ(query_rule(*closed, closed->sup),
+            "q@sup0(Z,X) :- cfgp@sup0(Z,W,Y,F0,F1), aaccept_p1@sup0(F0), "
+            "aaccept_p2@sup0(F1), inconf@sup0(Z,X).");
+  EXPECT_EQ(closed->sup.query.num_vars, 2u);
+
+  // Open automata: the positions are query arguments; no aaccept facts.
+  SupervisorOptions open_opts;
+  open_opts.open_automata = true;
+  Built open;
+  auto enc = EncodeNet(net, open.ctx);
+  ASSERT_TRUE(enc.ok());
+  std::map<std::string, AlarmAutomaton> automata{{"p1", {}}, {"p2", {}}};
+  auto sup = BuildSupervisor(net, *enc, automata, open_opts, open.ctx);
+  ASSERT_TRUE(sup.ok()) << sup.status().ToString();
+  EXPECT_EQ(query_rule(open, *sup),
+            "q@sup0(Z,X,F0,F1) :- cfgp@sup0(Z,W,Y,F0,F1), inconf@sup0(Z,X).");
+  EXPECT_EQ(sup->query.num_vars, 4u);
+  EXPECT_EQ(sup->query.var_names,
+            (std::vector<std::string>{"Z", "X", "F0", "F1"}));
+  EXPECT_EQ(ProgramToString(sup->program, open.ctx).find("aaccept"),
+            std::string::npos);
 }
 
 TEST(SupervisorTest, InitialConfigurationFact) {
