@@ -279,7 +279,6 @@ StatusOr<DiagnosabilityResult> CheckDiagnosability(
       dist_options.seed = options.seed;
       dist_options.eval = options.eval;
       dist_options.max_network_steps = options.max_network_steps;
-      dist_options.num_shards = options.num_shards;
       DQSQ_ASSIGN_OR_RETURN(
           dist::DistResult solved,
           options.engine == DiagnosabilityEngine::kDistNaive

@@ -57,11 +57,9 @@ struct DiagnosabilityOptions {
   petri::VerifierOptions verifier;
   /// Budgets for the Datalog engines.
   EvalOptions eval;
-  /// Network seed / step budget / shard count for the distributed engines
-  /// (num_shards = 1 runs byte-identical to the unsharded cluster).
+  /// Network seed / step budget for the distributed engines.
   uint64_t seed = 1;
   size_t max_network_steps = 2'000'000;
-  size_t num_shards = 1;
   /// Extract + replay-check an ambiguous lasso when not diagnosable.
   bool extract_witness = true;
 };

@@ -8,6 +8,14 @@
 
 namespace dqsq::dist {
 
+Status CheckSingleShard(const DistOptions& options) {
+  if (options.num_shards > 1) {
+    return InvalidArgumentError(
+        "DistOptions::num_shards must be 1: one logical peer is one peer");
+  }
+  return Status::Ok();
+}
+
 std::set<SymbolId> ProgramPeers(const Program& program,
                                 const ParsedQuery& query) {
   std::set<SymbolId> peer_ids;
@@ -117,44 +125,27 @@ Cluster::Cluster(DatalogContext& ctx, const Program& program,
       ctx_(&ctx),
       eval_options_(eval_options),
       wire_batch_(wire_batch) {
+  DQSQ_CHECK_LE(num_shards, 1u)
+      << "num_shards must be 1: one logical peer is one peer";
   network_.SetPeerNamer(
       [ctx = &ctx](SymbolId id) { return ctx->symbols().Name(id); });
-  std::set<SymbolId> logical = ProgramPeers(program, query);
-  if (num_shards > 1) {
-    router_ = std::make_unique<ShardRouter>(ctx, logical, num_shards);
-  }
-  for (SymbolId id : logical) {
-    // Shard 0's id is the logical id itself, so the unsharded layout is
-    // the K=1 special case of this loop.
-    const std::vector<SymbolId> group =
-        router_ != nullptr ? router_->GroupOf(id)
-                           : std::vector<SymbolId>{id};
-    for (SymbolId shard : group) {
-      auto peer = std::make_unique<DatalogPeer>(
-          shard, &ctx, eval_options, router_.get(), wire_batch_);
-      network_.Register(shard, peer.get());
-      peers_.emplace(shard, std::move(peer));
-    }
+  for (SymbolId id : ProgramPeers(program, query)) {
+    auto peer =
+        std::make_unique<DatalogPeer>(id, &ctx, eval_options, wire_batch_);
+    network_.Register(id, peer.get());
+    peers_.emplace(id, std::move(peer));
   }
   root_ = std::make_unique<RootNode>(ctx.symbols().Intern("ds_root"));
   network_.Register(root_->id(), root_.get());
   for (const Rule& rule : program.rules) {
-    // Sharded: every group member carries the rule (facts partition by
-    // hash inside DatalogPeer::AddFact; proper rules pivot-redirect).
-    const SymbolId owner = rule.head.rel.peer;
-    const std::vector<SymbolId> group =
-        router_ != nullptr ? router_->GroupOf(owner)
-                           : std::vector<SymbolId>{owner};
-    for (SymbolId shard : group) {
-      InstallRuleAt(*peers_.at(shard), rule, mode, ctx);
-    }
+    InstallRuleAt(*peers_.at(rule.head.rel.peer), rule, mode, ctx);
   }
-  // Live shard migration (SimNetwork::MigratePeer): hand the network a
+  // Live peer migration (SimNetwork::MigratePeer): hand the network a
   // factory for replacement peer objects; the old object is retired, not
   // destroyed, and the map entry swaps to the replacement.
   network_.SetMigrationFactory([this](SymbolId id) -> PeerNode* {
-    auto replacement = std::make_unique<DatalogPeer>(
-        id, ctx_, eval_options_, router_.get(), wire_batch_);
+    auto replacement =
+        std::make_unique<DatalogPeer>(id, ctx_, eval_options_, wire_batch_);
     DatalogPeer* raw = replacement.get();
     auto it = peers_.find(id);
     DQSQ_CHECK(it != peers_.end()) << "migration of unknown peer";
@@ -164,48 +155,8 @@ Cluster::Cluster(DatalogContext& ctx, const Program& program,
   });
 }
 
-std::vector<Message> ExpandSeedForShards(const ShardRouter* router,
-                                         std::vector<Message> messages) {
-  if (router == nullptr) return messages;
-  std::vector<Message> out;
-  for (Message& m : messages) {
-    if (!router->Knows(m.to)) {
-      out.push_back(std::move(m));
-      continue;
-    }
-    const std::vector<SymbolId>& group =
-        router->GroupOf(router->LogicalOf(m.to));
-    if (m.kind == MessageKind::kTuples) {
-      // Hash-route each payload tuple to its owning shard.
-      std::map<SymbolId, std::vector<Tuple>> split;
-      for (Tuple& t : m.tuples) {
-        split[group[router->ShardOfTuple(t)]].push_back(std::move(t));
-      }
-      for (auto& [shard, tuples] : split) {
-        Message copy = m;
-        copy.to = shard;
-        copy.tuples = std::move(tuples);
-        out.push_back(std::move(copy));
-      }
-    } else {
-      // Control plane: every shard of the group receives the demand. A
-      // self-subscription (activation only) stays a self-subscription.
-      const bool self_subscriber = m.subscriber == m.to;
-      for (SymbolId shard : group) {
-        Message copy = m;
-        copy.to = shard;
-        if (self_subscriber) copy.subscriber = shard;
-        out.push_back(std::move(copy));
-      }
-    }
-  }
-  return out;
-}
-
 void Cluster::SeedDemand(std::vector<Message> messages) {
-  for (Message& m : ExpandSeedForShards(router_.get(), std::move(messages))) {
-    root_->SendBasic(std::move(m), network_);
-  }
+  for (Message& m : messages) root_->SendBasic(std::move(m), network_);
 }
 
 Status Cluster::RunUntilTermination(size_t max_steps) {

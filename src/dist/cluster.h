@@ -11,6 +11,7 @@
 
 #include "datalog/eval.h"
 #include "datalog/parser.h"
+#include "dist/dnaive.h"
 #include "dist/network.h"
 #include "dist/peer.h"
 #include "dist/termination.h"
@@ -49,14 +50,13 @@ class Cluster {
     kSourceOnly,  // dQSQ: rules feed demand-driven rewriting only
   };
 
-  /// Creates one peer per peer name occurring in `program` or `query` —
-  /// or, with `num_shards` > 1, that many worker shards per logical peer
-  /// (dist/shard.h), every shard carrying the full rule set with its pivot
-  /// atoms redirected to the shard's hash partition. Ground facts load
-  /// into the owning peer's database; proper rules are installed according
-  /// to `mode`. An active `faults` plan runs the network with fault
-  /// injection plus the reliable-delivery shim. `wire_batch` enables
-  /// section-batched kTuples flushes (default off: byte-identical wire).
+  /// Creates one peer per peer name occurring in `program` or `query`.
+  /// Ground facts load into the owning peer's database; proper rules are
+  /// installed according to `mode`. An active `faults` plan runs the
+  /// network with fault injection plus the reliable-delivery shim.
+  /// `wire_batch` enables section-batched kTuples flushes (default off:
+  /// byte-identical wire). `num_shards` exists only so perfbench/ sources
+  /// compile unchanged; any value above 1 aborts.
   Cluster(DatalogContext& ctx, const Program& program,
           const ParsedQuery& query, uint64_t seed,
           const EvalOptions& eval_options, Mode mode,
@@ -64,16 +64,11 @@ class Cluster {
           const WireBatchOptions& wire_batch = {});
 
   SimNetwork& network() { return network_; }
-  /// By logical id this returns shard 0 (whose id IS the logical id).
   DatalogPeer& peer(SymbolId id) { return *peers_.at(id); }
   bool has_peer(SymbolId id) const { return peers_.contains(id); }
   RootNode& root() { return *root_; }
-  /// Null when unsharded.
-  const ShardRouter* router() const { return router_.get(); }
 
-  /// Sends the driver's seed messages, expanded for sharding: control
-  /// messages broadcast to the target's shard group, tuple payloads
-  /// hash-route to the owning shard. Unsharded this is a plain send.
+  /// Sends the driver's seed messages from the root.
   void SeedDemand(std::vector<Message> messages);
 
   /// Delivers messages until the root's Dijkstra–Scholten detection fires
@@ -95,7 +90,6 @@ class Cluster {
   DatalogContext* ctx_;
   EvalOptions eval_options_;
   WireBatchOptions wire_batch_;
-  std::unique_ptr<ShardRouter> router_;  // null when num_shards <= 1
   std::unique_ptr<RootNode> root_;
   std::map<SymbolId, std::unique_ptr<DatalogPeer>> peers_;
   // Peers replaced by live migration: kept alive (crashed, fenced) so any
@@ -108,6 +102,10 @@ class Cluster {
 // Used by the simulated Cluster above AND the multi-process runner
 // (dist/cluster_main.cc), so both build identical peer state, pose
 // identical demand and extract answers from the same relation.
+
+/// InvalidArgumentError iff `options.num_shards` > 1; both solvers call
+/// this before building a Cluster.
+Status CheckSingleShard(const DistOptions& options);
 
 /// Peer names occurring in `program` or `query`: the unit of placement.
 /// The simulated Cluster hosts all of them in one process; the cluster
@@ -132,15 +130,6 @@ std::vector<Message> SeedDemandMessages(DatalogContext& ctx,
 /// under kSourceOnly.
 Atom AnswerAtom(DatalogContext& ctx, const ParsedQuery& query,
                 Cluster::Mode mode);
-
-/// Expands root seed messages for a sharded topology: kTuples payloads
-/// hash-route per tuple to the owning shard, control messages broadcast to
-/// every shard of the target's group (a self-subscription follows its
-/// shard). Identity when `router` is null or the target is unknown to it.
-/// Shared by the simulated Cluster and the multi-process supervisor so
-/// both pose byte-identical demand.
-std::vector<Message> ExpandSeedForShards(const ShardRouter* router,
-                                         std::vector<Message> messages);
 
 }  // namespace dqsq::dist
 

@@ -29,7 +29,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,7 +48,6 @@
 #include "dist/cluster.h"
 #include "dist/dnaive.h"
 #include "dist/dqsq.h"
-#include "dist/shard.h"
 #include "dist/socket_network.h"
 #include "petri/random_net.h"
 #include "petri/verifier.h"
@@ -62,7 +63,6 @@ struct Args {
   std::string host = "127.0.0.1";
   int port = 0;                      // supervisor listen port (0 = kernel)
   int procs = 4;                     // peer processes to spawn
-  int shards = 1;                    // worker shards per logical peer
   std::string program_path;          // program file; empty = generated
   std::string workload = "chain";    // chain | diag (generated programs)
   std::string query = "path@peer0(v0, Y)";
@@ -79,6 +79,28 @@ struct Args {
   int index = -1;
 };
 
+/// Parses all of `text` as a number in [lo, hi] into `out`. On failure
+/// prints "invalid <what> '<text>': ..." to stderr and returns false, so
+/// no malformed flag can throw, wrap around or slip through as 0.
+template <typename T>
+bool ParseNumber(const std::string& what, std::string_view text, T lo, T hi,
+                 T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  // Negated range test: NaN compares false both ways and is rejected.
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    std::ostringstream range;
+    range << "[" << lo << ", " << hi << "]";
+    std::fprintf(stderr, "invalid %s '%.*s': expected a number in %s\n",
+                 what.c_str(), static_cast<int>(text.size()), text.data(),
+                 range.str().c_str());
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 std::optional<Args> ParseArgs(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
@@ -89,34 +111,31 @@ std::optional<Args> ParseArgs(int argc, char** argv) {
       *out = arg.substr(prefix.size());
       return true;
     };
-    std::string value;
+    // A numeric flag: true iff `flag` matched; `bad` records whether its
+    // value was out of range or malformed.
+    bool bad = false;
+    auto number = [&](const char* flag, auto* out, auto lo, auto hi) {
+      std::string value;
+      if (!eat(flag, &value)) return false;
+      bad = !ParseNumber(flag, value, lo, hi, out);
+      return true;
+    };
     if (eat("--mode", &args.mode) || eat("--engine", &args.engine) ||
         eat("--host", &args.host) || eat("--program", &args.program_path) ||
         eat("--workload", &args.workload) || eat("--query", &args.query) ||
-        eat("--supervisor", &args.supervisor)) {
+        eat("--supervisor", &args.supervisor) ||
+        number("--net-peers", &args.net_peers, 1, INT_MAX) ||
+        number("--net-transitions", &args.net_transitions, 1, INT_MAX) ||
+        number("--fault-fraction", &args.fault_fraction, 0.0, 1.0) ||
+        number("--port", &args.port, 0, 65535) ||
+        number("--procs", &args.procs, 1, 256) ||
+        number("--chain-peers", &args.chain_peers, 1, INT_MAX) ||
+        number("--chain-edges", &args.chain_edges, 0, INT_MAX) ||
+        number("--seed", &args.seed, uint64_t{0}, UINT64_MAX) ||
+        number("--timeout-ms", &args.timeout_ms, 1, INT_MAX) ||
+        number("--index", &args.index, 0, INT_MAX)) {
+      if (bad) return std::nullopt;
       continue;
-    } else if (eat("--net-peers", &value)) {
-      args.net_peers = std::stoi(value);
-    } else if (eat("--net-transitions", &value)) {
-      args.net_transitions = std::stoi(value);
-    } else if (eat("--fault-fraction", &value)) {
-      args.fault_fraction = std::stod(value);
-    } else if (eat("--port", &value)) {
-      args.port = std::stoi(value);
-    } else if (eat("--procs", &value)) {
-      args.procs = std::stoi(value);
-    } else if (eat("--shards", &value)) {
-      args.shards = std::stoi(value);
-    } else if (eat("--chain-peers", &value)) {
-      args.chain_peers = std::stoi(value);
-    } else if (eat("--chain-edges", &value)) {
-      args.chain_edges = std::stoi(value);
-    } else if (eat("--seed", &value)) {
-      args.seed = std::stoull(value);
-    } else if (eat("--timeout-ms", &value)) {
-      args.timeout_ms = std::stoi(value);
-    } else if (eat("--index", &value)) {
-      args.index = std::stoi(value);
     } else if (arg == "--check-against-sim") {
       args.check_against_sim = true;
     } else {
@@ -136,7 +155,12 @@ StatusOr<SocketAddress> ParseAddress(const std::string& spec) {
   }
   SocketAddress addr;
   addr.host = spec.substr(0, colon);
-  addr.port = static_cast<uint16_t>(std::stoi(spec.substr(colon + 1)));
+  int port = 0;
+  if (!ParseNumber("port", std::string_view(spec).substr(colon + 1), 1, 65535,
+                   &port)) {
+    return InvalidArgumentError("bad port in address '" + spec + "'");
+  }
+  addr.port = static_cast<uint16_t>(port);
   return addr;
 }
 
@@ -232,13 +256,11 @@ HelloPayload DecodeHello(std::string_view payload) {
 
 struct StartPayload {
   uint8_t engine = 1;  // 0 = dnaive, 1 = dqsq
-  uint32_t num_shards = 1;  // worker shards per logical peer (dist/shard.h)
   std::string program_text;
   std::string query_text;
   std::vector<SocketAddress> procs;   // index -> process address
   SocketAddress supervisor;           // hosts the ds_root node
-  // peer name -> process index, over all SHARD names of the program's
-  // peers ("peer0", "peer0#1", ... — shard 0 keeps the logical name).
+  // peer name -> process index, over every peer of the program.
   std::vector<std::pair<std::string, uint32_t>> placement;
   uint32_t your_index = 0;
 };
@@ -246,7 +268,6 @@ struct StartPayload {
 std::string EncodeStart(const StartPayload& s) {
   SnapshotWriter w;
   w.U8(s.engine);
-  w.U32(s.num_shards);
   w.Str(s.program_text);
   w.Str(s.query_text);
   w.U32(static_cast<uint32_t>(s.procs.size()));
@@ -269,7 +290,6 @@ StartPayload DecodeStart(std::string_view payload) {
   SnapshotReader r(payload);
   StartPayload s;
   s.engine = r.U8();
-  s.num_shards = r.U32();
   s.program_text = r.Str();
   s.query_text = r.Str();
   uint32_t n_procs = r.U32();
@@ -379,7 +399,6 @@ int RunPeer(const Args& args) {
 
   // State built when kStart arrives.
   std::map<SymbolId, std::unique_ptr<DatalogPeer>> local;
-  std::unique_ptr<ShardRouter> router;  // null when the cluster is unsharded
   std::optional<ParsedQuery> query;
   Cluster::Mode mode = Cluster::Mode::kSourceOnly;
   bool done = false;
@@ -395,18 +414,10 @@ int RunPeer(const Args& args) {
         DQSQ_ASSIGN_OR_RETURN(ParsedQuery parsed,
                               ParseQuery(start.query_text, ctx));
         query = std::move(parsed);
-        // Every process derives the SAME shard topology from the program
-        // text it was shipped (sorted logical peer set + shard count), so
-        // tuple routing agrees cluster-wide without coordination.
-        if (start.num_shards > 1) {
-          router = std::make_unique<ShardRouter>(
-              ctx, ProgramPeers(program, *query), start.num_shards);
-        }
         for (const auto& [name, proc] : start.placement) {
           SymbolId id = ctx.symbols().Intern(name);
           if (proc == start.your_index) {
-            auto peer = std::make_unique<DatalogPeer>(id, &ctx, EvalOptions(),
-                                                      router.get());
+            auto peer = std::make_unique<DatalogPeer>(id, &ctx, EvalOptions());
             net.Register(id, peer.get());
             local.emplace(id, std::move(peer));
           } else {
@@ -415,13 +426,9 @@ int RunPeer(const Args& args) {
         }
         net.SetAddress("ds_root", start.supervisor);
         for (const Rule& rule : program.rules) {
-          // Sharded: every local shard of the head's logical owner carries
-          // the rule (mirrors the simulated Cluster's install loop).
-          for (auto& [id, peer] : local) {
-            SymbolId logical = router != nullptr ? router->LogicalOf(id) : id;
-            if (logical == rule.head.rel.peer) {
-              InstallRuleAt(*peer, rule, mode, ctx);
-            }
+          auto owner = local.find(rule.head.rel.peer);
+          if (owner != local.end()) {
+            InstallRuleAt(*owner->second, rule, mode, ctx);
           }
         }
         return Status::Ok();
@@ -599,15 +606,6 @@ StatusOr<ClusterRunResult> RunCluster(const Args& args,
   RootNode root(ctx.symbols().Intern("ds_root"));
   net.Register(root.id(), &root);
 
-  // Shard topology (dist/shard.h): built over the same sorted logical
-  // peer set every peer process derives from the program text, so the
-  // supervisor's routing of the seed tuples agrees with the workers'.
-  std::unique_ptr<ShardRouter> router;
-  if (args.shards > 1) {
-    router = std::make_unique<ShardRouter>(ctx, ProgramPeers(program, query),
-                                           static_cast<size_t>(args.shards));
-  }
-
   std::map<uint32_t, SocketAddress> peer_addresses;  // index -> address
   std::map<uint32_t, uint64_t> hello_conns;          // index -> connection
   std::vector<ReportPayload> reports;
@@ -641,27 +639,14 @@ StatusOr<ClusterRunResult> RunCluster(const Args& args,
       args.timeout_ms, "peer handshake");
 
   if (status.ok()) {
-    // Deterministic placement: round-robin over the sorted peer names —
-    // with sharding, over every shard of each logical peer in order, so
-    // a logical peer's shards spread across consecutive processes.
-    std::vector<std::string> logical_names;
-    for (SymbolId id : ProgramPeers(program, query)) {
-      logical_names.push_back(ctx.symbols().Name(id));
-    }
-    std::sort(logical_names.begin(), logical_names.end());
+    // Deterministic placement: round-robin over the sorted peer names.
     std::vector<std::string> names;
-    for (const std::string& name : logical_names) {
-      if (router == nullptr) {
-        names.push_back(name);
-        continue;
-      }
-      for (SymbolId shard : router->GroupOf(ctx.symbols().Intern(name))) {
-        names.push_back(ctx.symbols().Name(shard));
-      }
+    for (SymbolId id : ProgramPeers(program, query)) {
+      names.push_back(ctx.symbols().Name(id));
     }
+    std::sort(names.begin(), names.end());
     StartPayload start;
     start.engine = mode == Cluster::Mode::kEvaluate ? 0 : 1;
-    start.num_shards = static_cast<uint32_t>(std::max(args.shards, 1));
     start.program_text = program_text;
     start.query_text = args.query;
     for (int i = 0; i < args.procs; ++i) {
@@ -681,8 +666,7 @@ StatusOr<ClusterRunResult> RunCluster(const Args& args,
   }
 
   if (status.ok()) {
-    for (Message& m : ExpandSeedForShards(
-             router.get(), SeedDemandMessages(ctx, query, root.id(), mode))) {
+    for (Message& m : SeedDemandMessages(ctx, query, root.id(), mode)) {
       root.SendBasic(std::move(m), net);
     }
     status = PumpPhase(net, children, [&] { return root.terminated(); },
@@ -820,7 +804,6 @@ int RunSupervisor(const Args& args_in) {
   std::string json = "{\n";
   json += "  \"engine\": \"" + EscapeJson(args.engine) + "\",\n";
   json += "  \"procs\": " + std::to_string(args.procs) + ",\n";
-  json += "  \"shards\": " + std::to_string(args.shards) + ",\n";
   json += "  \"query\": \"" + EscapeJson(args.query) + "\",\n";
   json += "  \"answers\": " + std::to_string(real->answers.size()) + ",\n";
   json += "  \"total_facts\": " + std::to_string(real->total_facts) + ",\n";

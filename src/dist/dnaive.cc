@@ -26,6 +26,7 @@ StatusOr<DistResult> DistNaiveSolve(DatalogContext& ctx,
                                     const ParsedQuery& query,
                                     const DistOptions& options) {
   DQSQ_RETURN_IF_ERROR(ValidateProgram(program, ctx));
+  DQSQ_RETURN_IF_ERROR(CheckSingleShard(options));
   for (const Rule& rule : program.rules) {
     if (!rule.negative.empty()) {
       return UnimplementedError(
@@ -38,7 +39,7 @@ StatusOr<DistResult> DistNaiveSolve(DatalogContext& ctx,
   ScopedTimer timer(TimeMetric("dist.solve.wall_ns", engine));
   Cluster cluster(ctx, program, query, options.seed, options.eval,
                   Cluster::Mode::kEvaluate, options.faults,
-                  options.num_shards, options.wire_batch);
+                  /*num_shards=*/1, options.wire_batch);
 
   // The driver seeds the computation as the root of a Dijkstra-Scholten
   // diffusing computation: it sends the activation request and then just

@@ -42,8 +42,8 @@ struct DistOptions {
   /// Fault injection for the simulated wire. An active plan engages the
   /// reliable-delivery shim; the default loss-free plan adds no traffic.
   FaultPlan faults;
-  /// Worker shards per logical peer (dist/shard.h). 1 = unsharded, and
-  /// runs byte-identical to the pre-sharding cluster.
+  /// Kept only so perfbench/ sources compile unchanged: one logical peer
+  /// is one peer, and the solvers reject any value above 1.
   size_t num_shards = 1;
   /// Section-batching of small kTuples flushes. Default off (unchanged
   /// wire); see WireBatchOptions.

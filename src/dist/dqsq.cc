@@ -11,6 +11,7 @@ StatusOr<DistResult> DistQsqSolve(DatalogContext& ctx, const Program& program,
                                   const ParsedQuery& query,
                                   const DistOptions& options) {
   DQSQ_RETURN_IF_ERROR(ValidateProgram(program, ctx));
+  DQSQ_RETURN_IF_ERROR(CheckSingleShard(options));
   for (const Rule& rule : program.rules) {
     if (!rule.negative.empty()) {
       return UnimplementedError(
@@ -23,7 +24,7 @@ StatusOr<DistResult> DistQsqSolve(DatalogContext& ctx, const Program& program,
   ScopedTimer timer(TimeMetric("dist.solve.wall_ns", engine));
   Cluster cluster(ctx, program, query, options.seed, options.eval,
                   Cluster::Mode::kSourceOnly, options.faults,
-                  options.num_shards, options.wire_batch);
+                  /*num_shards=*/1, options.wire_batch);
 
   // Pose the query at the owner as the Dijkstra-Scholten root: a subquery
   // message carrying the call pattern, then the bound arguments (FIFO on
@@ -50,9 +51,6 @@ StatusOr<DistResult> DistQsqSolve(DatalogContext& ctx, const Program& program,
   // that are neither sup/in bookkeeping nor inputs.
   result.answer_facts = cluster.CountFactsMatching(
       [&](const std::string& name) {
-        // own$ shadow partitions (sharding) duplicate rows of their base
-        // relation and must not count (own$in__X etc. contain "__").
-        if (name.rfind("own$", 0) == 0) return false;
         if (name.rfind("in__", 0) == 0) return false;
         if (name.find("sup__") != std::string::npos) return false;
         if (name.find("supall__") != std::string::npos) return false;

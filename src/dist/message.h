@@ -56,10 +56,6 @@ struct Message {
   SymbolId subscriber = 0;       // kActivate
   std::vector<bool> adornment;   // kSubquery
   std::vector<Rule> rules;       // kInstall
-  // Sharding (dist/shard.h): a kTuples batch flagged shard_replica carries
-  // rows the hash-owner shard broadcasts to its group siblings — the
-  // receiver stores them as replica data and never re-exchanges them.
-  bool shard_replica = false;
   // Additional kTuples payloads batched into this frame (wire batching,
   // DistOptions::wire_batch). Empty on the default unbatched path.
   std::vector<TupleSection> sections;

@@ -134,10 +134,10 @@ void SimNetwork::PushToChannel(Message m) {
   // wire copy of seq N is dominated by its own retransmit copy (identical
   // payload, fresher ack/SACK/epoch stamps). Keeping both copies is worse
   // than useless — whenever transport timers outrun the wire's one-
-  // delivery-per-step drain rate (reachable under intra-peer sharding,
-  // which multiplies channels by K²), the queue depth grows without
-  // bound, and the acks that would quench the retransmit loops are stuck
-  // behind the very copies they supersede: a livelock. With coalescing a
+  // delivery-per-step drain rate (reachable once many channels are
+  // active at once), the queue depth grows without bound, and the acks
+  // that would quench the retransmit loops are stuck behind the very
+  // copies they supersede: a livelock. With coalescing a
   // channel's queue holds at most one copy per sequence number plus one
   // standalone ack, so the backlog is bounded by the flow-control window.
   // Real stacks behave the same way (ack coalescing, qdisc-level
@@ -515,7 +515,7 @@ void SimNetwork::MigratePeer(SymbolId peer) {
   peers_[peer] = replacement;
   RecoverPeer(peer, frozen_image);
   ++stats_.migrations;
-  CountMetric("dist.shard.migrations", 1, {{"peer", PeerLabel(peer)}},
+  CountMetric("dist.net.migrations", 1, {{"peer", PeerLabel(peer)}},
               "migrations");
 }
 

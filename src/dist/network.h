@@ -153,7 +153,7 @@ struct NetworkStats {
   size_t crash_drops = 0;        // wire deliveries lost at a down peer
   size_t snapshot_bytes = 0;     // serialized checkpoint volume
   size_t wal_records = 0;        // write-ahead-logged deliveries
-  size_t migrations = 0;         // live shard hand-offs (dist.shard.migrations)
+  size_t migrations = 0;         // live peer hand-offs (dist.net.migrations)
 };
 
 class SimNetwork : public Network {
@@ -214,7 +214,7 @@ class SimNetwork : public Network {
     migration_factory_ = std::move(factory);
   }
 
-  /// Live shard hand-off: fences `peer` under a bumped epoch (the old
+  /// Live peer hand-off: fences `peer` under a bumped epoch (the old
   /// owner's volatile state is wiped so it can never answer again), swaps
   /// in a replacement object from the migration factory, and recovers it
   /// through the ordinary snapshot + WAL-replay path — including the

@@ -18,61 +18,16 @@ Labels PeerLabels(DatalogContext* ctx, SymbolId id) {
 }  // namespace
 
 DatalogPeer::DatalogPeer(SymbolId id, DatalogContext* ctx,
-                         EvalOptions eval_options, const ShardRouter* router,
+                         EvalOptions eval_options,
                          const WireBatchOptions& batch)
     : id_(id),
-      logical_id_(router != nullptr ? router->LogicalOf(id) : id),
-      router_(router),
-      sharded_(router != nullptr && router->num_shards() > 1),
       batch_(batch),
       ctx_(ctx),
       eval_options_(eval_options),
       db_(ctx) {}
 
-RelId DatalogPeer::OwnShadow(const RelId& rel) const {
-  PredicateId own = ctx_->InternPredicate(
-      "own$" + ctx_->PredicateName(rel.pred), ctx_->PredicateArity(rel.pred));
-  return RelId{own, logical_id_};
-}
-
-bool DatalogPeer::IsOwnShadow(const RelId& rel) const {
-  return ctx_->PredicateName(rel.pred).rfind("own$", 0) == 0;
-}
-
-RelId DatalogPeer::ShadowBase(const RelId& shadow) const {
-  const std::string& name = ctx_->PredicateName(shadow.pred);
-  DQSQ_CHECK(name.rfind("own$", 0) == 0);
-  PredicateId base = ctx_->InternPredicate(
-      name.substr(4), ctx_->PredicateArity(shadow.pred));
-  return RelId{base, logical_id_};
-}
-
-std::vector<SymbolId> DatalogPeer::Siblings() const {
-  std::vector<SymbolId> out;
-  if (!sharded_) return out;
-  for (SymbolId shard : router_->GroupOf(logical_id_)) {
-    if (shard != id_) out.push_back(shard);
-  }
-  return out;
-}
-
 void DatalogPeer::InstallRule(const Rule& rule) {
   program_.rules.push_back(rule);
-  if (sharded_) {
-    // Pivot redirect: point the first locally-owned body atom at its own$
-    // shadow, so each shard joins only the rows it hash-owns against the
-    // full replicas of the other atoms — the group's fixpoints partition
-    // the work with no duplicate derivations. Rules with no locally-owned
-    // body atom run unredirected on every shard (duplicate derivations,
-    // deduplicated by insertion downstream — sound).
-    Rule& installed = program_.rules.back();
-    for (Atom& atom : installed.body) {
-      if (atom.rel.peer == logical_id_ && !IsOwnShadow(atom.rel)) {
-        atom.rel = OwnShadow(atom.rel);
-        break;
-      }
-    }
-  }
   CountMetric("dist.peer.rules_installed", 1, PeerLabels(ctx_, id_), "rules");
 }
 
@@ -82,17 +37,6 @@ void DatalogPeer::InstallSourceRule(const Rule& rule) {
 
 void DatalogPeer::AddFact(const RelId& rel, std::span<const TermId> tuple) {
   db_.Insert(rel, tuple);
-  if (sharded_ && rel.peer == logical_id_ && !IsOwnShadow(rel)) {
-    // Setup facts load as full replicas on every group member; only the
-    // hash-owner also claims the row into its own$ partition. Non-owners
-    // mark it received so the exchange never re-ships what every shard
-    // already has.
-    if (router_->OwnerOf(logical_id_, tuple) == id_) {
-      db_.Insert(OwnShadow(rel), tuple);
-    } else {
-      received_replica_[rel].insert(Tuple(tuple.begin(), tuple.end()));
-    }
-  }
 }
 
 bool DatalogPeer::HasRulesFor(const RelId& rel) const {
@@ -126,28 +70,8 @@ Status DatalogPeer::OnMessage(const Message& message, Network& network) {
 }
 
 void DatalogPeer::IngestTuples(const RelId& rel,
-                               const std::vector<Tuple>& tuples,
-                               bool shard_replica) {
-  if (sharded_ && rel.peer == logical_id_) {
-    if (shard_replica) {
-      // Sibling broadcast of rows another shard hash-owns: store into the
-      // full replica only, and remember them so the exchange skips them.
-      for (const Tuple& t : tuples) {
-        if (db_.Insert(rel, t)) received_replica_[rel].insert(t);
-      }
-    } else {
-      // Primary delivery: the sender hash-routed these rows here, so this
-      // shard owns them — claim them into the own$ partition (it will
-      // broadcast them to the siblings on the next flush).
-      const RelId shadow = OwnShadow(rel);
-      for (const Tuple& t : tuples) {
-        db_.Insert(rel, t);
-        db_.Insert(shadow, t);
-      }
-    }
-    return;
-  }
-  const bool remote_owned = rel.peer != logical_id_;
+                               const std::vector<Tuple>& tuples) {
+  const bool remote_owned = rel.peer != id_;
   for (const Tuple& t : tuples) {
     if (db_.Insert(rel, t) && remote_owned) {
       received_[rel].insert(t);
@@ -158,9 +82,9 @@ void DatalogPeer::IngestTuples(const RelId& rel,
 Status DatalogPeer::Dispatch(const Message& message, Network& network) {
   switch (message.kind) {
     case MessageKind::kTuples: {
-      IngestTuples(message.rel, message.tuples, message.shard_replica);
+      IngestTuples(message.rel, message.tuples);
       for (const TupleSection& s : message.sections) {
-        IngestTuples(s.rel, s.tuples, message.shard_replica);
+        IngestTuples(s.rel, s.tuples);
       }
       return RunFixpointAndFlush(network);
     }
@@ -174,16 +98,7 @@ Status DatalogPeer::Dispatch(const Message& message, Network& network) {
                                       network));
       return RunFixpointAndFlush(network);
     case MessageKind::kInstall:
-      for (const Rule& rule : message.rules) {
-        if (sharded_) {
-          // Every sibling of the rewriting shard ships the same remainder
-          // rules; install each exactly once.
-          SnapshotWriter w;
-          EncodeRule(rule, w);
-          if (!installed_keys_.insert(w.Take()).second) continue;
-        }
-        InstallRule(rule);
-      }
+      for (const Rule& rule : message.rules) InstallRule(rule);
       return RunFixpointAndFlush(network);
     case MessageKind::kAck:
       return InternalError("ack handled before dispatch");
@@ -197,30 +112,17 @@ Status DatalogPeer::Dispatch(const Message& message, Network& network) {
 
 Status DatalogPeer::Activate(const RelId& rel, SymbolId subscriber,
                              bool has_subscriber, Network& network) {
-  DQSQ_CHECK_EQ(rel.peer, logical_id_) << "activation routed to the wrong peer";
+  DQSQ_CHECK_EQ(rel.peer, id_) << "activation routed to the wrong peer";
   if (has_subscriber && subscriber != id_) {
     subscribers_[rel].insert(subscriber);
-    // Sharded: each shard streams only its own$ partition; the subscriber
-    // receives the union of the group's flushes.
-    if (sharded_) {
-      FlushOwnPartitionTo(rel, subscriber, network);
-    } else {
-      FlushRelationTo(rel, subscriber, network);
-    }
+    FlushRelationTo(rel, subscriber, network);
   }
   if (active_.contains(rel)) return Status::Ok();
   active_.insert(rel);
   for (const Rule& rule : program_.rules) {
     if (!(rule.head.rel == rel)) continue;
     for (const Atom& atom : rule.body) {
-      if (IsOwnShadow(atom.rel)) {
-        // Pivot-redirected atom: activation follows the base relation,
-        // which is locally owned by construction.
-        DQSQ_RETURN_IF_ERROR(Activate(ShadowBase(atom.rel), id_,
-                                      /*has_subscriber=*/false, network));
-        continue;
-      }
-      if (atom.rel.peer == logical_id_) {
+      if (atom.rel.peer == id_) {
         DQSQ_RETURN_IF_ERROR(
             Activate(atom.rel, id_, /*has_subscriber=*/false, network));
       } else {
@@ -230,7 +132,7 @@ Status DatalogPeer::Activate(const RelId& rel, SymbolId subscriber,
         m.to = atom.rel.peer;
         m.rel = atom.rel;
         m.subscriber = id_;
-        SendBasicToGroup(std::move(m), network);
+        SendBasic(std::move(m), network);
       }
     }
   }
@@ -239,7 +141,7 @@ Status DatalogPeer::Activate(const RelId& rel, SymbolId subscriber,
 
 Status DatalogPeer::OnSubquery(const RelId& rel, const Adornment& adornment,
                                Network& network) {
-  DQSQ_CHECK_EQ(rel.peer, logical_id_) << "subquery routed to the wrong peer";
+  DQSQ_CHECK_EQ(rel.peer, id_) << "subquery routed to the wrong peer";
   CountMetric("dist.peer.subqueries_received", 1, PeerLabels(ctx_, id_));
   return RewriteForPattern(rel, adornment, network);
 }
@@ -277,8 +179,8 @@ Status DatalogPeer::RewriteForPattern(const RelId& rel,
     PredicateId in = ctx_->InternPredicate(
         InputPredName(base, adornment),
         static_cast<uint32_t>(bound_vars.size()));
-    bridge.head = Atom{RelId{ans, logical_id_}, all_vars};
-    bridge.body.push_back(Atom{RelId{in, logical_id_}, std::move(bound_vars)});
+    bridge.head = Atom{RelId{ans, id_}, all_vars};
+    bridge.body.push_back(Atom{RelId{in, id_}, std::move(bound_vars)});
     bridge.body.push_back(Atom{rel, std::move(all_vars)});
     InstallRule(bridge);
   }
@@ -307,7 +209,7 @@ Status DatalogPeer::RewriteForPattern(const RelId& rel,
       // Local atoms are intensional iff this peer defines them; remote
       // atoms are demanded via subqueries either way (their owner bridges
       // extensional relations).
-      bool idb = atom.rel.peer != logical_id_ || HasRulesFor(atom.rel);
+      bool idb = atom.rel.peer != id_ || HasRulesFor(atom.rel);
       ar.body_adornments.push_back(a);
       ar.body_is_idb.push_back(idb);
       if (idb) propagate.emplace_back(atom.rel, a);
@@ -320,10 +222,7 @@ Status DatalogPeer::RewriteForPattern(const RelId& rel,
 
   QsqOptions qopts;
   qopts.distribute_sups = true;
-  // The prefix uses the LOGICAL name so all shards of a group generate
-  // identical rewrites — remainder rules shipped by sibling shards then
-  // deduplicate byte-for-byte at the receiver (installed_keys_).
-  qopts.sup_prefix = ctx_->symbols().Name(logical_id_) + "_";
+  qopts.sup_prefix = ctx_->symbols().Name(id_) + "_";
   DQSQ_ASSIGN_OR_RETURN(
       RewriteResult rewrite,
       QsqRewrite(adorned, rel, adornment, *ctx_, qopts));
@@ -334,7 +233,7 @@ Status DatalogPeer::RewriteForPattern(const RelId& rel,
   for (Rule& rule : rewrite.program.rules) {
     DQSQ_CHECK(!rule.body.empty());
     SymbolId body_peer = rule.body[0].rel.peer;
-    if (body_peer == logical_id_) {
+    if (body_peer == id_) {
       InstallRule(rule);
     } else {
       remote[body_peer].push_back(std::move(rule));
@@ -346,12 +245,12 @@ Status DatalogPeer::RewriteForPattern(const RelId& rel,
     m.from = id_;
     m.to = peer;
     m.rules = std::move(rules);
-    SendBasicToGroup(std::move(m), network);
+    SendBasic(std::move(m), network);
   }
 
   // Propagate demand for callee call patterns.
   for (const auto& [callee, a] : propagate) {
-    if (callee.peer == logical_id_) {
+    if (callee.peer == id_) {
       DQSQ_RETURN_IF_ERROR(RewriteForPattern(callee, a, network));
     } else {
       Message m;
@@ -360,7 +259,7 @@ Status DatalogPeer::RewriteForPattern(const RelId& rel,
       m.to = callee.peer;
       m.rel = callee;
       m.adornment = a;
-      SendBasicToGroup(std::move(m), network);
+      SendBasic(std::move(m), network);
     }
   }
   return Status::Ok();
@@ -368,24 +267,10 @@ Status DatalogPeer::RewriteForPattern(const RelId& rel,
 
 Status DatalogPeer::RunFixpointAndFlush(Network& network) {
   CountMetric("dist.peer.fixpoints", 1, PeerLabels(ctx_, id_));
-  // Sharded: an exchange can claim locally-derived rows into a local own$
-  // shadow, which the pivot-redirected rules join over — iterate until the
-  // exchange claims nothing new.
-  for (;;) {
-    DQSQ_RETURN_IF_ERROR(Evaluate(program_, db_, eval_options_).status());
-    if (!sharded_ || !ExchangeOwnedRows(network)) break;
-  }
-  // Stream owned relations to their subscribers (dnaive data flow). Each
-  // shard of a group streams only its own$ partition; the subscriber
-  // assembles the union.
+  DQSQ_RETURN_IF_ERROR(Evaluate(program_, db_, eval_options_).status());
+  // Stream owned relations to their subscribers (dnaive data flow).
   for (const auto& [rel, subs] : subscribers_) {
-    for (SymbolId target : subs) {
-      if (sharded_) {
-        FlushOwnPartitionTo(rel, target, network);
-      } else {
-        FlushRelationTo(rel, target, network);
-      }
-    }
+    for (SymbolId target : subs) FlushRelationTo(rel, target, network);
   }
   // Ship derived tuples of remote-owned relations to their owner (dQSQ
   // binding/answer flow and remainder-rule heads).
@@ -394,14 +279,8 @@ Status DatalogPeer::RunFixpointAndFlush(Network& network) {
     return a.pred != b.pred ? a.pred < b.pred : a.peer < b.peer;
   });
   for (const RelId& rel : rels) {
-    if (rel.peer == logical_id_) continue;
-    if (sharded_) {
-      FlushRemoteSharded(rel, network);
-    } else {
-      FlushRelationTo(rel, rel.peer, network);
-    }
+    if (rel.peer != id_) FlushRelationTo(rel, rel.peer, network);
   }
-  if (sharded_) FlushOwnPartitions(network);
   DrainOutbox(network);
   return Status::Ok();
 }
@@ -426,131 +305,11 @@ void DatalogPeer::FlushRelationTo(const RelId& rel, SymbolId target,
     tuples.push_back(std::move(t));
   }
   watermark = relation->size();
-  EmitTuples(target, rel, std::move(tuples), /*shard_replica=*/false, network);
-}
-
-bool DatalogPeer::ExchangeOwnedRows(Network& network) {
-  bool claimed = false;
-  std::vector<RelId> rels = db_.Relations();
-  std::sort(rels.begin(), rels.end(), [](const RelId& a, const RelId& b) {
-    return a.pred != b.pred ? a.pred < b.pred : a.peer < b.peer;
-  });
-  for (const RelId& rel : rels) {
-    if (rel.peer != logical_id_ || IsOwnShadow(rel)) continue;
-    const Relation* relation = db_.Find(rel);
-    size_t& watermark = exchanged_[rel];
-    if (watermark >= relation->size()) continue;
-    const RelId shadow = OwnShadow(rel);
-    const std::set<Tuple>* replica = nullptr;
-    auto it = received_replica_.find(rel);
-    if (it != received_replica_.end()) replica = &it->second;
-    std::map<SymbolId, std::vector<Tuple>> outgoing;
-    for (size_t row = watermark; row < relation->size(); ++row) {
-      auto r = relation->Row(row);
-      Tuple t(r.begin(), r.end());
-      // Rows a sibling broadcast here are that sibling's partition; rows
-      // already claimed (primary ingest, setup facts) are ours already.
-      if (replica != nullptr && replica->contains(t)) continue;
-      SymbolId owner = router_->OwnerOf(logical_id_, t);
-      if (owner == id_) {
-        if (db_.Insert(shadow, t)) claimed = true;
-      } else {
-        outgoing[owner].push_back(std::move(t));
-      }
-    }
-    watermark = relation->size();
-    for (auto& [owner, tuples] : outgoing) {
-      EmitTuples(owner, rel, std::move(tuples), /*shard_replica=*/false,
-                 network);
-    }
-  }
-  if (claimed) {
-    CountMetric("dist.shard.exchange_rounds", 1, PeerLabels(ctx_, id_));
-  }
-  return claimed;
-}
-
-void DatalogPeer::FlushOwnPartitions(Network& network) {
-  std::vector<RelId> rels = db_.Relations();
-  std::sort(rels.begin(), rels.end(), [](const RelId& a, const RelId& b) {
-    return a.pred != b.pred ? a.pred < b.pred : a.peer < b.peer;
-  });
-  for (const RelId& rel : rels) {
-    if (rel.peer != logical_id_ || IsOwnShadow(rel)) continue;
-    if (db_.Find(OwnShadow(rel)) == nullptr) continue;
-    for (SymbolId sibling : Siblings()) {
-      FlushOwnPartitionTo(rel, sibling, network);
-    }
-  }
-}
-
-void DatalogPeer::FlushOwnPartitionTo(const RelId& rel, SymbolId target,
-                                      Network& network) {
-  if (target == id_) return;
-  const RelId shadow = OwnShadow(rel);
-  const Relation* relation = db_.Find(shadow);
-  if (relation == nullptr) return;
-  // Watermarks key on the SHADOW relation, so subscriber streams and
-  // sibling broadcasts of the same base relation do not collide with the
-  // unsharded shipped_ keys.
-  size_t& watermark = shipped_[{shadow, target}];
-  if (watermark >= relation->size()) return;
-  std::vector<Tuple> tuples;
-  for (size_t row = watermark; row < relation->size(); ++row) {
-    auto r = relation->Row(row);
-    tuples.emplace_back(r.begin(), r.end());
-  }
-  watermark = relation->size();
-  // Siblings receive replica broadcasts; subscribers of other logical
-  // peers receive ordinary remote-owned tuples.
-  bool replica = router_->LogicalOf(target) == logical_id_;
-  EmitTuples(target, rel, std::move(tuples), replica, network);
-}
-
-void DatalogPeer::FlushRemoteSharded(const RelId& rel, Network& network) {
-  const Relation* relation = db_.Find(rel);
-  if (relation == nullptr) return;
-  const std::vector<SymbolId>& group = router_->GroupOf(rel.peer);
-  // Watermark keyed on the LOGICAL owner — partitioned sends to the
-  // group's shards all advance the same scan position.
-  size_t& watermark = shipped_[{rel, rel.peer}];
-  if (watermark >= relation->size()) return;
-  const std::set<Tuple>* skip = nullptr;
-  auto it = received_.find(rel);
-  if (it != received_.end()) skip = &it->second;
-  std::map<SymbolId, std::vector<Tuple>> outgoing;
-  for (size_t row = watermark; row < relation->size(); ++row) {
-    auto r = relation->Row(row);
-    Tuple t(r.begin(), r.end());
-    if (skip != nullptr && skip->contains(t)) continue;
-    SymbolId owner = group[router_->ShardOfTuple(t)];
-    outgoing[owner].push_back(std::move(t));
-  }
-  watermark = relation->size();
-  for (auto& [owner, tuples] : outgoing) {
-    EmitTuples(owner, rel, std::move(tuples), /*shard_replica=*/false,
-               network);
-  }
-}
-
-void DatalogPeer::SendBasicToGroup(Message m, Network& network) {
-  if (!sharded_ || !router_->Knows(m.to)) {
-    SendBasic(std::move(m), network);
-    return;
-  }
-  const std::vector<SymbolId>& group = router_->GroupOf(m.to);
-  for (size_t i = 0; i + 1 < group.size(); ++i) {
-    Message copy = m;
-    copy.to = group[i];
-    SendBasic(std::move(copy), network);
-  }
-  m.to = group.back();
-  SendBasic(std::move(m), network);
+  EmitTuples(target, rel, std::move(tuples), network);
 }
 
 void DatalogPeer::EmitTuples(SymbolId target, const RelId& rel,
-                             std::vector<Tuple> tuples, bool shard_replica,
-                             Network& network) {
+                             std::vector<Tuple> tuples, Network& network) {
   if (tuples.empty() || target == id_) return;
   if (!batch_.enable) {
     // Default path: one message per flush, byte-identical to the
@@ -561,45 +320,38 @@ void DatalogPeer::EmitTuples(SymbolId target, const RelId& rel,
     m.to = target;
     m.rel = rel;
     m.tuples = std::move(tuples);
-    m.shard_replica = shard_replica;
     SendBasic(std::move(m), network);
     return;
   }
-  outbox_.push_back(
-      OutboxEntry{target, rel, std::move(tuples), shard_replica});
+  outbox_.push_back(OutboxEntry{target, rel, std::move(tuples)});
 }
 
 void DatalogPeer::DrainOutbox(Network& network) {
   if (outbox_.empty()) return;
   std::vector<OutboxEntry> entries = std::move(outbox_);
   outbox_.clear();
-  // Group by (target, shard_replica) in first-appearance order — the
-  // replica flag is per-message, so replica and primary flushes to the
-  // same target cannot share one envelope.
-  using GroupKey = std::pair<SymbolId, bool>;
-  std::vector<GroupKey> order;
-  std::map<GroupKey, std::vector<OutboxEntry*>> groups;
+  // Group by target in first-appearance order.
+  std::vector<SymbolId> order;
+  std::map<SymbolId, std::vector<OutboxEntry*>> groups;
   for (OutboxEntry& e : entries) {
-    GroupKey key{e.target, e.shard_replica};
-    auto [it, inserted] = groups.try_emplace(key);
-    if (inserted) order.push_back(key);
+    auto [it, inserted] = groups.try_emplace(e.target);
+    if (inserted) order.push_back(e.target);
     it->second.push_back(&e);
   }
   size_t batched_rows = 0;
   size_t split_messages = 0;
-  for (const GroupKey& key : order) {
+  for (SymbolId target : order) {
     Message m;
     size_t est = 0;  // running estimate, mirrors ApproxWireBytes pricing
     auto reset = [&]() {
       m = Message{};
       m.kind = MessageKind::kTuples;
       m.from = id_;
-      m.to = key.first;
-      m.shard_replica = key.second;
+      m.to = target;
       est = 16;
     };
     reset();
-    for (OutboxEntry* e : groups[key]) {
+    for (OutboxEntry* e : groups[target]) {
       std::vector<Tuple>* slot = nullptr;  // this entry's rows in m
       for (Tuple& t : e->tuples) {
         size_t row_cost = 4 * t.size();
@@ -761,23 +513,6 @@ std::string DatalogPeer::SaveState() const {
     w.U32(pred);
     EncodeAdornmentBits(adornment, w);
   }
-  // Sharded-only section: absent at K=1 so unsharded snapshots stay
-  // byte-identical to the pre-sharding format.
-  if (sharded_) {
-    w.U64(received_replica_.size());
-    for (const auto& [rel, tuples] : received_replica_) {
-      EncodeRelId(rel, w);
-      w.U64(tuples.size());
-      for (const Tuple& t : tuples) EncodePeerTuple(t, w);
-    }
-    w.U64(exchanged_.size());
-    for (const auto& [rel, watermark] : exchanged_) {
-      EncodeRelId(rel, w);
-      w.U64(watermark);
-    }
-    w.U64(installed_keys_.size());
-    for (const std::string& key : installed_keys_) w.Str(key);
-  }
   return w.Take();
 }
 
@@ -836,22 +571,6 @@ void DatalogPeer::RestoreState(const std::string& state) {
     PredicateId pred = r.U32();
     rewritten_.emplace(pred, DecodeAdornmentBits(r));
   }
-  if (sharded_) {
-    n = r.U64();
-    for (uint64_t i = 0; i < n; ++i) {
-      RelId rel = DecodeRelId(r);
-      uint64_t tuples = r.U64();
-      auto& set = received_replica_[rel];
-      for (uint64_t j = 0; j < tuples; ++j) set.insert(DecodePeerTuple(r));
-    }
-    n = r.U64();
-    for (uint64_t i = 0; i < n; ++i) {
-      RelId rel = DecodeRelId(r);
-      exchanged_[rel] = r.U64();
-    }
-    n = r.U64();
-    for (uint64_t i = 0; i < n; ++i) installed_keys_.insert(r.Str());
-  }
   DQSQ_CHECK(r.AtEnd()) << "trailing bytes after peer state";
   CountMetric("dist.peer.restores", 1, PeerLabels(ctx_, id_));
 }
@@ -865,9 +584,6 @@ void DatalogPeer::Crash() {
   shipped_.clear();
   received_.clear();
   rewritten_.clear();
-  received_replica_.clear();
-  exchanged_.clear();
-  installed_keys_.clear();
   // The outbox is always drained before OnMessage returns, so a crash
   // never loses queued flushes; clear defensively anyway.
   outbox_.clear();

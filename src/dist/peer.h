@@ -25,35 +25,16 @@
 #include "datalog/database.h"
 #include "datalog/eval.h"
 #include "dist/network.h"
-#include "dist/shard.h"
 #include "dist/termination.h"
 
 namespace dqsq::dist {
 
-// Sharded operation (dist/shard.h): a DatalogPeer may be one of K worker
-// shards of a logical peer. Ownership is decided against the LOGICAL id —
-// every shard accepts the whole group's relations — while the data is
-// split by tuple hash: each shard keeps, next to the full replica of an
-// owned relation R, a shadow partition own$R holding exactly the rows it
-// hash-owns. Rules are installed on every shard with their pivot body atom
-// (the first locally-owned one) redirected to its own$ shadow, so the
-// group's fixpoints partition the join work without rewriting the program.
-// Rows a shard derives for a relation it does not hash-own are exchanged
-// to the owning sibling after each fixpoint; rows landing in own$R are
-// broadcast to the siblings as shard_replica tuples, keeping every replica
-// complete. With K=1 none of this machinery engages and the peer is
-// byte-identical to the unsharded implementation.
 class DatalogPeer : public PeerNode {
  public:
-  /// `router` may be null (unsharded). When given, `id` may be a shard id;
-  /// ownership tests use router->LogicalOf(id).
   DatalogPeer(SymbolId id, DatalogContext* ctx, EvalOptions eval_options,
-              const ShardRouter* router = nullptr,
               const WireBatchOptions& batch = {});
 
   SymbolId id() const { return id_; }
-  /// The logical peer this shard belongs to (== id() when unsharded).
-  SymbolId logical_id() const { return logical_id_; }
   Database& db() { return db_; }
   const Database& db() const { return db_; }
 
@@ -123,11 +104,9 @@ class DatalogPeer : public PeerNode {
   /// Handles one basic message (kAck is handled by OnMessage).
   Status Dispatch(const Message& message, Network& network);
 
-  /// Inserts one kTuples payload (or section), applying the sharded
-  /// ownership cases: shard_replica → replica only; primary owned →
-  /// replica + own$ claim; remote-owned → replica + received_ marking.
-  void IngestTuples(const RelId& rel, const std::vector<Tuple>& tuples,
-                    bool shard_replica);
+  /// Inserts one kTuples payload (or section); rows of remote-owned
+  /// relations are also marked received_ so they never ship back.
+  void IngestTuples(const RelId& rel, const std::vector<Tuple>& tuples);
 
   /// True iff this peer has a source or evaluated rule whose head is
   /// `rel` (source rules take precedence for rewriting decisions).
@@ -139,59 +118,22 @@ class DatalogPeer : public PeerNode {
   Status RewriteForPattern(const RelId& rel, const Adornment& adornment,
                            Network& network);
 
-  // ---- Sharding (no-ops when sharded_ is false) ---------------------------
-
-  /// True iff this peer runs as one of K>1 shards of its logical peer.
-  bool sharded() const { return sharded_; }
-  /// The own$ shadow of owned relation `rel` (interning "own$<name>").
-  RelId OwnShadow(const RelId& rel) const;
-  /// True iff `rel` is an own$ shadow partition.
-  bool IsOwnShadow(const RelId& rel) const;
-  /// The base relation of an own$ shadow (inverse of OwnShadow).
-  RelId ShadowBase(const RelId& shadow) const;
-  /// Group siblings of this shard (excluding itself).
-  std::vector<SymbolId> Siblings() const;
-  /// Hash-routes owned rows appended since the last pass: rows this shard
-  /// hash-owns land in their own$ shadow, others ship to the owning
-  /// sibling as primary kTuples. Returns true iff a local own$ shadow
-  /// gained rows (the fixpoint must then re-run — the pivot-redirected
-  /// rules may fire on them).
-  bool ExchangeOwnedRows(Network& network);
-  /// Broadcasts new own$ rows to every sibling as shard_replica kTuples.
-  void FlushOwnPartitions(Network& network);
-  /// Streams new rows of own$`rel` (labeled `rel`) to `target` — the
-  /// sharded subscriber flush: each shard ships only its partition, the
-  /// subscriber receives the union.
-  void FlushOwnPartitionTo(const RelId& rel, SymbolId target,
-                           Network& network);
-  /// Hash-partitions new rows of remote-owned `rel` across the owner's
-  /// shard group (collapses to FlushRelationTo at group size 1).
-  void FlushRemoteSharded(const RelId& rel, Network& network);
-  /// Sends `m` to every shard of the logical peer `m.to` (control-plane
-  /// broadcast); plain Send when the target is unsharded.
-  void SendBasicToGroup(Message m, Network& network);
-
   // ---- Wire batching (engaged only when batch_.enable) --------------------
 
   struct OutboxEntry {
     SymbolId target;
     RelId rel;
     std::vector<Tuple> tuples;
-    bool shard_replica = false;
   };
   /// Queues or immediately sends one kTuples flush depending on batch_.
   void EmitTuples(SymbolId target, const RelId& rel,
-                  std::vector<Tuple> tuples, bool shard_replica,
-                  Network& network);
+                  std::vector<Tuple> tuples, Network& network);
   /// Packs queued flushes per target into section-batched messages,
   /// splitting payloads above batch_.max_bytes. Called at the end of every
   /// RunFixpointAndFlush.
   void DrainOutbox(Network& network);
 
   SymbolId id_;
-  SymbolId logical_id_;
-  const ShardRouter* router_;
-  bool sharded_ = false;
   WireBatchOptions batch_;
   DatalogContext* ctx_;
   DsNode ds_{/*is_root=*/false};
@@ -219,15 +161,6 @@ class DatalogPeer : public PeerNode {
   // Call patterns already rewritten (pred + adornment; "the same machinery
   // is reused" for repeated requests).
   std::set<std::pair<PredicateId, Adornment>> rewritten_;
-  // ---- Sharded-only bookkeeping (empty, and not serialized, at K=1) ------
-  // Owned rows received as shard_replica broadcasts: complete replicas
-  // that this shard does not hash-own and must never re-exchange.
-  std::map<RelId, std::set<Tuple>, RelKeyLess> received_replica_;
-  // Exchange watermark per owned relation: rows below it were hash-routed.
-  std::map<RelId, size_t, RelKeyLess> exchanged_;
-  // Encoded kInstall rules already installed — the same remainder arrives
-  // once per rewriting sibling shard; duplicates are dropped.
-  std::set<std::string> installed_keys_;
   // Pending batched kTuples flushes (wire batching; always drained before
   // OnMessage returns, so never serialized).
   std::vector<OutboxEntry> outbox_;

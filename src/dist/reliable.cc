@@ -282,9 +282,9 @@ std::vector<Message> ReliableTransport::PollWire(uint64_t now) {
     // (unlike the retransmit backoff): per owed episode a channel emits
     // O(log horizon) standalone acks total, so production stays below the
     // wire's drain rate no matter how many channels owe at once — with a
-    // cap, ~cap·ack_delay owed channels (reachable under intra-peer
-    // sharding, which multiplies channels by K²) produce acks faster than
-    // the wire drains and the discharging acks never escape the flood.
+    // cap, ~cap·ack_delay owed channels (reachable when many channels
+    // carry traffic together) produce acks faster than the wire drains
+    // and the discharging acks never escape the flood.
     // Liveness never rests on this timer: whenever the ack still matters,
     // the sender's capped retransmit loop delivers a duplicate, which
     // resets the backoff to prompt.

@@ -57,11 +57,11 @@ struct ReliableConfig {
   // Uncapped matters for stability, not just tuning: the virtual wire
   // drains one delivery per step however many channels exist, so any
   // capped (i.e. eventually constant-rate) per-entry retransmit schedule
-  // is outrun once enough entries are in flight at once — reachable under
-  // intra-peer sharding, which multiplies channels by K². Karn's rule
-  // keeps the RTO estimator blind during such an episode (retransmitted
-  // entries never sample), so the backoff is the only mechanism that can
-  // slow the sender down. Uncapped doubling emits O(log horizon) copies
+  // is outrun once enough entries are in flight at once — reachable when
+  // many channels carry traffic together. Karn's rule keeps the RTO
+  // estimator blind during such an episode (retransmitted entries never
+  // sample), so the backoff is the only mechanism that can slow the
+  // sender down. Uncapped doubling emits O(log horizon) copies
   // per entry, which converges for any channel count; forward progress
   // restores promptness, because any ack that erases an entry resets its
   // channel's surviving backoffs (TCP-style timer restart).
@@ -241,8 +241,7 @@ class ReliableTransport {
     // each ack_delay steps forever; past ~ack_delay owed channels that
     // constant production outruns the wire, the acks that would discharge
     // the debts queue behind the flood they created, and the network
-    // livelocks (observed under intra-peer sharding, which multiplies the
-    // channel count by K²).
+    // livelocks (observed when many channels owe acks at once).
     uint64_t ack_backoff = 1;
 
     bool Saw(uint64_t seq) const {

@@ -176,13 +176,12 @@ void EncodeMessage(const Message& m, SnapshotWriter& w) {
     w.U64(s.last);
   }
   // Flags byte (was a plain retransmit Bool): bit0 = retransmit, bit1 =
-  // shard_replica, bit2 = batched sections follow. With sharding and
-  // batching off every bit above 0 is clear, so the encoding — and the
-  // pinned snapshot_bytes baselines — are byte-identical to the
-  // pre-sharding codec.
+  // reserved (never set, ignored on decode), bit2 = batched sections
+  // follow. With batching off every bit above 0 is clear, so the encoding
+  // — and the pinned snapshot_bytes baselines — match the plain-Bool
+  // codec byte for byte.
   uint8_t flags = 0;
   if (m.retransmit) flags |= 1;
-  if (m.shard_replica) flags |= 2;
   if (!m.sections.empty()) flags |= 4;
   w.U8(flags);
   w.U64(m.epoch);
@@ -226,7 +225,6 @@ Message DecodeMessage(SnapshotReader& r) {
   }
   uint8_t flags = r.U8();
   m.retransmit = (flags & 1) != 0;
-  m.shard_replica = (flags & 2) != 0;
   m.epoch = r.U64();
   if ((flags & 4) != 0) {
     uint64_t sections = r.U64();

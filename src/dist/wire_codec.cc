@@ -199,11 +199,10 @@ std::string EncodeWireMessage(const Message& m, const DatalogContext& ctx) {
     w.U64(s.last);
   }
   // Flags byte (was a plain retransmit Bool): bit0 = retransmit, bit1 =
-  // shard_replica, bit2 = batched sections follow. Byte-identical to the
-  // pre-sharding codec when both features are off.
+  // reserved (never set, ignored on decode), bit2 = batched sections
+  // follow. Byte-identical to the plain-Bool codec when batching is off.
   uint8_t flags = 0;
   if (m.retransmit) flags |= 1;
-  if (m.shard_replica) flags |= 2;
   if (!m.sections.empty()) flags |= 4;
   w.U8(flags);
   w.U64(m.epoch);
@@ -258,7 +257,6 @@ Message DecodeWireMessage(std::string_view payload, DatalogContext& ctx) {
   }
   uint8_t flags = r.U8();
   m.retransmit = (flags & 1) != 0;
-  m.shard_replica = (flags & 2) != 0;
   m.epoch = r.U64();
   if ((flags & 4) != 0) {
     uint32_t sections = r.U32();

@@ -2,7 +2,7 @@
 // random nets the twin-plant Datalog verdict (semi-naive AND QSQ) must
 // equal the brute-force oracle's, every "not diagnosable" verdict must
 // ship a witness that replays through the token game, and the distributed
-// engines (sharded and unsharded) must reproduce the central anchor sets.
+// engines must reproduce the central anchor sets.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -116,30 +116,6 @@ TEST(DiagnosabilityPropertyTest, DistributedEnginesMatchCentral) {
         ASSERT_TRUE(dist->witness.has_value());
         EXPECT_TRUE(petri::ReplayWitness(net, *dist->witness).ok());
       }
-    }
-  }
-}
-
-TEST(DiagnosabilityPropertyTest, ShardedRunsMatchUnsharded) {
-  // K ∈ {1, 4} worker shards per logical peer must not change a verdict
-  // or an anchor set.
-  for (uint64_t seed = 10; seed <= kNumSeeds; seed += 10) {
-    PetriNet net = NetForSeed(seed);
-    for (DiagnosabilityEngine engine :
-         {DiagnosabilityEngine::kDistNaive, DiagnosabilityEngine::kDistQsq}) {
-      DiagnosabilityOptions options;
-      options.engine = engine;
-      options.seed = seed;
-      options.num_shards = 1;
-      auto k1 = CheckDiagnosability(net, options);
-      ASSERT_TRUE(k1.ok()) << DiagnosabilityEngineName(engine) << " seed "
-                           << seed;
-      options.num_shards = 4;
-      auto k4 = CheckDiagnosability(net, options);
-      ASSERT_TRUE(k4.ok()) << DiagnosabilityEngineName(engine) << " seed "
-                           << seed;
-      EXPECT_EQ(k1->diagnosable, k4->diagnosable) << "seed " << seed;
-      EXPECT_EQ(k1->witness_anchors, k4->witness_anchors) << "seed " << seed;
     }
   }
 }

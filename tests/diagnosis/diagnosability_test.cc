@@ -164,23 +164,6 @@ TEST(DiagnosabilityTest, AllUnobservableFaultLoopIsUndiagnosable) {
   }
 }
 
-TEST(DiagnosabilityTest, ShardedDistributedRunMatchesUnsharded) {
-  PetriNet net = MakeUndiagnosableLoopNet();
-  for (DiagnosabilityEngine engine :
-       {DiagnosabilityEngine::kDistNaive, DiagnosabilityEngine::kDistQsq}) {
-    DiagnosabilityOptions options;
-    options.engine = engine;
-    options.num_shards = 1;
-    auto unsharded = CheckDiagnosability(net, options);
-    ASSERT_TRUE(unsharded.ok()) << DiagnosabilityEngineName(engine);
-    options.num_shards = 4;
-    auto sharded = CheckDiagnosability(net, options);
-    ASSERT_TRUE(sharded.ok()) << DiagnosabilityEngineName(engine);
-    EXPECT_EQ(unsharded->diagnosable, sharded->diagnosable);
-    EXPECT_EQ(unsharded->witness_anchors, sharded->witness_anchors);
-  }
-}
-
 TEST(DiagnosabilityTest, ProgramTextIsDeterministic) {
   PetriNet net = MakeUndiagnosableLoopNet();
   auto verifier = VerifierNet::Build(net);

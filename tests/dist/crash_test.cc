@@ -396,5 +396,97 @@ TEST(CrashInjectionPropertyTest, InactiveCrashPlanIsZeroOverhead) {
   EXPECT_EQ(inert_run->stats.wal_records, 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Live peer migration (SimNetwork::MigratePeer): a whole peer hands off to
+// a fresh object through the same snapshot + WAL-replay path.
+// ---------------------------------------------------------------------------
+
+TEST(MigrationTest, LiveMigrationMidEvaluationPreservesAnswers) {
+  for (bool qsq : {false, true}) {
+    auto lossless = Solve(qsq, /*seed=*/1, FaultPlan{});
+    ASSERT_TRUE(lossless.ok());
+    FaultPlan plan;
+    plan.crash.migrate_at_step = {{/*at_step=*/20, /*peer_index=*/0}};
+    plan.crash.checkpoint_every = 1;
+    auto migrated = Solve(qsq, /*seed=*/1, plan);
+    ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
+    EXPECT_EQ(migrated->answers, lossless->answers);
+    EXPECT_TRUE(migrated->quiescent_at_detection);
+    EXPECT_EQ(migrated->stats.migrations, 1u);
+    EXPECT_EQ(migrated->stats.crashes, 0u);   // a hand-off is not a failure
+    EXPECT_EQ(migrated->stats.restarts, 0u);  // nor a crash-restart
+    // Logical traffic is migration-invariant: the epoch fence plus WAL
+    // replay hand the successor exactly the old owner's obligations.
+    EXPECT_EQ(migrated->stats.messages_delivered,
+              lossless->stats.messages_delivered);
+    EXPECT_EQ(migrated->stats.tuples_shipped,
+              lossless->stats.tuples_shipped);
+  }
+}
+
+TEST(MigrationSoakTest, CrashesAroundMigrationAcrossSeeds) {
+  // Schedules where the OLD owner dies before its migration, the NEW
+  // owner dies right after taking over, and WAL replay is mid-flight
+  // (checkpoint_every > 1) — across 20 seeds, both engines.
+  struct Schedule {
+    const char* name;
+    CrashPlan plan;
+  };
+  std::vector<Schedule> schedules;
+  // Every event sits early in the run (a lossless Figure3 run is longer
+  // than 25 clock units on every seed) so the schedules always fire.
+  {
+    // Old owner killed first; the migration then moves the restarted peer.
+    CrashPlan p;
+    p.crash_at_step = {{/*at_step=*/8, /*peer_index=*/0}};
+    p.migrate_at_step = {{/*at_step=*/20, /*peer_index=*/0}};
+    p.down_for = 8;
+    p.checkpoint_every = 1;
+    schedules.push_back({"old-owner-killed", p});
+  }
+  {
+    // New owner killed right after the hand-off.
+    CrashPlan p;
+    p.migrate_at_step = {{/*at_step=*/12, /*peer_index=*/0}};
+    p.crash_at_step = {{/*at_step=*/16, /*peer_index=*/0}};
+    p.down_for = 8;
+    p.checkpoint_every = 1;
+    schedules.push_back({"new-owner-killed", p});
+  }
+  {
+    // Migration lands while the WAL has unreplayed suffix (sparse
+    // checkpoints) and a second peer dies around it.
+    CrashPlan p;
+    p.migrate_at_step = {{/*at_step=*/14, /*peer_index=*/1}};
+    p.crash_at_step = {{/*at_step=*/10, /*peer_index=*/0}};
+    p.down_for = 16;
+    p.checkpoint_every = 4;
+    schedules.push_back({"in-flight-wal", p});
+  }
+  for (bool qsq : {false, true}) {
+    auto lossless = Solve(qsq, /*seed=*/1, FaultPlan{});
+    ASSERT_TRUE(lossless.ok());
+    for (const Schedule& schedule : schedules) {
+      for (uint64_t seed = 1; seed <= 20; ++seed) {
+        FaultPlan plan;
+        plan.crash = schedule.plan;
+        auto run = Solve(qsq, seed, plan);
+        ASSERT_TRUE(run.ok())
+            << (qsq ? "dqsq" : "dnaive") << " " << schedule.name << " seed "
+            << seed << ": " << run.status().ToString();
+        EXPECT_EQ(run->answers, lossless->answers)
+            << (qsq ? "dqsq" : "dnaive") << " " << schedule.name << " seed "
+            << seed;
+        EXPECT_TRUE(run->quiescent_at_detection);
+        EXPECT_EQ(run->stats.migrations, 1u);
+        // DS quiescence plus logical invariance survive the combination.
+        EXPECT_EQ(run->stats.messages_delivered,
+                  lossless->stats.messages_delivered);
+        EXPECT_EQ(run->stats.tuples_shipped, lossless->stats.tuples_shipped);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dqsq::dist

@@ -42,6 +42,27 @@ Parsed ParseAll(DatalogContext& ctx, const std::string& program_text,
   return Parsed{*std::move(program), *std::move(query)};
 }
 
+struct RunOutcome {
+  std::vector<std::string> answers;  // rendered while the context is alive
+  NetworkStats stats;
+  bool quiescent = false;
+};
+
+StatusOr<RunOutcome> Solve(bool qsq, const std::string& program_text,
+                           const std::string& query_text,
+                           const DistOptions& opts) {
+  DatalogContext ctx;
+  Parsed p = ParseAll(ctx, program_text, query_text);
+  DQSQ_ASSIGN_OR_RETURN(DistResult result,
+                        qsq ? DistQsqSolve(ctx, p.program, p.query, opts)
+                            : DistNaiveSolve(ctx, p.program, p.query, opts));
+  RunOutcome out;
+  out.answers = AnswerStrings(result.answers, ctx);
+  out.stats = result.net_stats;
+  out.quiescent = result.quiescent_at_detection;
+  return out;
+}
+
 TEST(DistNaiveTest, Figure3MatchesCentralized) {
   DatalogContext ctx;
   Parsed p = ParseAll(ctx, kFigure3, "r@r(\"1\", Y)");
@@ -304,6 +325,163 @@ TEST(DistTest, DijkstraScholtenDrivesTermination) {
   size_t basic = dist->net_stats.messages_delivered / 2;
   EXPECT_GE(dist->net_stats.messages_delivered, 2 * basic);
   EXPECT_GT(basic, 0u);
+}
+
+TEST(DistOptionsTest, NumShardsIsOneOrRejected) {
+  // num_shards survives only for source compatibility. 1 must leave the
+  // wire trajectory untouched — every counter pins equal to the default —
+  // and anything above 1 is refused before a cluster is built.
+  for (bool qsq : {false, true}) {
+    auto base = Solve(qsq, kFigure3, "r@r(\"1\", Y)", DistOptions{});
+    ASSERT_TRUE(base.ok());
+    DistOptions opts;
+    opts.num_shards = 1;
+    auto k1 = Solve(qsq, kFigure3, "r@r(\"1\", Y)", opts);
+    ASSERT_TRUE(k1.ok());
+    EXPECT_EQ(k1->answers, base->answers);
+    EXPECT_EQ(k1->stats.messages_delivered, base->stats.messages_delivered);
+    EXPECT_EQ(k1->stats.tuples_shipped, base->stats.tuples_shipped);
+    EXPECT_EQ(k1->stats.wire_messages, base->stats.wire_messages);
+    EXPECT_EQ(k1->stats.wire_bytes, base->stats.wire_bytes);
+    opts.num_shards = 2;
+    auto k2 = Solve(qsq, kFigure3, "r@r(\"1\", Y)", opts);
+    EXPECT_EQ(k2.status().code(), StatusCode::kInvalidArgument)
+        << k2.status().ToString();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Reliable-delivery shim under many concurrently owed channels.
+// ---------------------------------------------------------------------------
+
+/// Every peer's path rules hop into every peer, so demand and bindings
+/// cross all peers·(peers-1) directed channels at once.
+std::string MeshProgram(int peers, int per_peer) {
+  std::string program = bench::DistributedChainProgram(peers, per_peer);
+  for (int p = 0; p < peers; ++p) {
+    std::string self = "peer" + std::to_string(p);
+    for (int q = 0; q < peers; ++q) {
+      if (q == p || q == p + 1) continue;  // the chain already hops there
+      program += "path@" + self + "(X, Y) :- edge@" + self + "(X, Z), path@" +
+                 "peer" + std::to_string(q) + "(Z, Y).\n";
+    }
+  }
+  return program;
+}
+
+TEST(DistShimTest, ManyOwedChannelsTerminate) {
+  // Regression for the standalone-ack livelock: re-emitting every owed
+  // standalone ack each ack_delay steps outruns the wire's
+  // one-delivery-per-step drain rate once ~ack_delay channels owe at
+  // once; the discharging acks queue behind the flood they created,
+  // logical traffic starves, and Dijkstra-Scholten never terminates. Two
+  // defenses stop it: the uncapped standalone-ack backoff
+  // (ReliableTransport::PollWire) and superseded-ack coalescing
+  // (SimNetwork::PushToChannel). This 30-channel mesh exhausts its step
+  // budget with both removed and terminates with either one in place.
+  // The shim is engaged with a vanishing duplicate probability so the
+  // wire itself stays effectively lossless — the livelock needs no
+  // actual faults.
+  const std::string mesh = MeshProgram(6, 4);
+  for (bool qsq : {false, true}) {
+    auto base = Solve(qsq, mesh, "path@peer0(v0, Y)", DistOptions{});
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    ASSERT_FALSE(base->answers.empty());
+    DistOptions opts;
+    opts.faults.duplicate = 1e-12;  // engages the shim, never fires
+    opts.max_network_steps = 60'000;
+    auto run = Solve(qsq, mesh, "path@peer0(v0, Y)", opts);
+    ASSERT_TRUE(run.ok()) << (qsq ? "dqsq" : "dnaive") << ": "
+                          << run.status().ToString();
+    EXPECT_EQ(run->answers, base->answers);
+    EXPECT_TRUE(run->quiescent);
+    // And with real faults: a lossy, reordering wire still converges to
+    // the lossless answers.
+    DistOptions lossy;
+    lossy.faults.drop = 0.02;
+    lossy.faults.delay = 0.05;
+    auto lossy_run = Solve(qsq, mesh, "path@peer0(v0, Y)", lossy);
+    ASSERT_TRUE(lossy_run.ok()) << (qsq ? "dqsq" : "dnaive") << " lossy: "
+                                << lossy_run.status().ToString();
+    EXPECT_EQ(lossy_run->answers, base->answers);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Wire batching (opt-in).
+// ---------------------------------------------------------------------------
+
+TEST(WireBatchTest, BatchingPreservesAnswersAndNeverAddsMessages) {
+  // On the chain a fixpoint flush carries at most one relation per
+  // target, so batching is a behavioral no-op here: answers, shipped rows
+  // and message counts all pin to the unbatched run. (Sections form when
+  // one fixpoint feeds several relations of the same peer — asserted in
+  // DqsqFanOutPacksSections below.)
+  const std::string chain = bench::DistributedChainProgram(4, 16);
+  for (bool qsq : {false, true}) {
+    auto base = Solve(qsq, chain, "path@peer0(v0, Y)", DistOptions{});
+    ASSERT_TRUE(base.ok());
+    DistOptions opts;
+    opts.wire_batch.enable = true;
+    opts.wire_batch.max_bytes = 4096;
+    auto batched = Solve(qsq, chain, "path@peer0(v0, Y)", opts);
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    EXPECT_EQ(batched->answers, base->answers);
+    // Every row still arrives (sections count as shipped rows)...
+    EXPECT_EQ(batched->stats.tuples_shipped, base->stats.tuples_shipped);
+    // ...in no more envelopes than before.
+    EXPECT_LE(batched->stats.messages_delivered,
+              base->stats.messages_delivered);
+  }
+}
+
+TEST(WireBatchTest, DqsqFanOutPacksSections) {
+  // Peer a defines q through three relations of peer b, so each fixpoint
+  // at a derives bindings for three in__ relations owned by b — three
+  // flushes to one target, which batching packs into one envelope.
+  const char* fan_out = R"(
+    q@a(X, Y) :- e@b(X, Y).
+    q@a(X, Y) :- f@b(X, Y).
+    q@a(X, Y) :- g@b(X, Y).
+    e@b("1", "2").
+    f@b("1", "3").
+    g@b("1", "4").
+  )";
+  auto& registry = MetricsRegistry::Global();
+  DistOptions plain;
+  auto unbatched = Solve(/*qsq=*/true, fan_out, "q@a(\"1\", Y)", plain);
+  ASSERT_TRUE(unbatched.ok());
+  EXPECT_EQ(unbatched->answers, (std::vector<std::string>{"2", "3", "4"}));
+  DistOptions opts;
+  opts.wire_batch.enable = true;
+  opts.wire_batch.max_bytes = 4096;
+  MetricsSnapshot before = registry.Snapshot();
+  auto batched = Solve(/*qsq=*/true, fan_out, "q@a(\"1\", Y)", opts);
+  MetricsSnapshot diff = registry.Snapshot().Diff(before);
+  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+  EXPECT_EQ(batched->answers, unbatched->answers);
+  EXPECT_EQ(batched->stats.tuples_shipped, unbatched->stats.tuples_shipped);
+  EXPECT_LT(batched->stats.messages_delivered,
+            unbatched->stats.messages_delivered);
+  EXPECT_GT(diff.Total("dist.net.batched_tuples"), 0u);
+}
+
+TEST(WireBatchTest, TinyBudgetSplitsOversizedPayloads) {
+  const std::string chain = bench::DistributedChainProgram(3, 16);
+  auto& registry = MetricsRegistry::Global();
+  auto base = Solve(false, chain, "path@peer0(v0, Y)", DistOptions{});
+  ASSERT_TRUE(base.ok());
+  DistOptions opts;
+  opts.wire_batch.enable = true;
+  opts.wire_batch.max_bytes = 24;  // one ~2-ary row past the 16-byte header
+  MetricsSnapshot before = registry.Snapshot();
+  auto split = Solve(false, chain, "path@peer0(v0, Y)", opts);
+  MetricsSnapshot diff = registry.Snapshot().Diff(before);
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  EXPECT_EQ(split->answers, base->answers);
+  EXPECT_EQ(split->stats.tuples_shipped, base->stats.tuples_shipped);
+  EXPECT_GT(diff.Total("dist.net.split_tuples"), 0u);
+  EXPECT_GT(split->stats.messages_delivered, base->stats.messages_delivered);
 }
 
 }  // namespace

@@ -149,7 +149,7 @@ TEST(ReliableTransportTest, StandaloneAckRefiresWithBackoffUntilConfirmed) {
   // re-emissions slow down geometrically (uncapped: O(log horizon) acks
   // per owed episode), keeping total standalone-ack production below the
   // wire's drain rate however many channels owe at once. Regression for
-  // the sharded-cluster livelock, where ~K² channels re-emitting every
+  // the many-channel livelock, where every owed channel re-emitting each
   // ack_delay steps outran the wire's drain rate and the discharging acks
   // could never get through the flood.
   auto first = transport.PollWire(5);  // owed since 1, due at 5
