@@ -49,12 +49,6 @@ class Database {
   /// All relation instances present.
   std::vector<RelId> Relations() const;
 
-  /// Direct read access to the relation map, for hot-path iteration that
-  /// must not materialize an id vector (the evaluator's round snapshots).
-  const std::unordered_map<RelId, Relation, RelIdHash>& relation_map() const {
-    return relations_;
-  }
-
   /// Drops every relation (crash-restart support: the database is rebuilt
   /// from a snapshot via GetOrCreate + Insert in stored row order).
   void Clear() { relations_.clear(); }

@@ -13,9 +13,13 @@ namespace {
 
 // Evaluation of one program over one database. Semi-naive bookkeeping is
 // row-count based: each relation's rows appended during round r form the
-// delta consumed in round r+1. Rule bodies run through the batched join
-// kernel (join_kernel.h); this class supplies the snapshot row ranges and
-// the head emission.
+// delta consumed in round r+1. Rounds are delta-driven (DESIGN.md,
+// "Delta-driven rounds"): every relation a rule body reads has one
+// Snapshot that lists its reader plans, heads log the snapshots they grow,
+// and a semi-naive round visits only the readers of relations whose delta
+// is non-empty. Rule bodies run through the batched join kernel
+// (join_kernel.h); this class supplies the snapshot row ranges and the
+// head emission.
 class Evaluator : public JoinHost {
  public:
   Evaluator(const Program& program, Database& db, const EvalOptions& options)
@@ -30,27 +34,21 @@ class Evaluator : public JoinHost {
   }
 
  private:
+  // The layer's view of one relation its rule bodies read.
   struct Snapshot {
-    const Relation* relation = nullptr;  // stable: map nodes never move
-    size_t base = 0;  // rows before the previous round
-    size_t cur = 0;   // rows at the start of this round
-  };
-
-  // Cached pointer to a body atom's snapshot entry. `gen` records the
-  // relation-map generation of the last failed lookup, so atoms over
-  // relations that never materialize (common in rewrite output) cost one
-  // comparison per round instead of a hash lookup.
-  struct SnapRef {
-    const Snapshot* snap = nullptr;
-    size_t gen = 0;
+    Relation* relation = nullptr;  // null until the relation exists
+    size_t base = 0;      // rows before the previous round
+    size_t cur = 0;       // rows at the start of this round
+    bool grown = false;   // listed on grown_ (inserted into this round)
+    std::vector<uint32_t> readers;  // plans reading it, ascending, once each
   };
 
   // Per-execution kernel context: where the delta is placed in the body
   // (body.size() = full snapshot scan, used by naive mode and round 0),
-  // plus the plan's snapshot-pointer cache (see EvalRule).
+  // plus the snapshots of the plan's body atoms.
   struct EvalCtx {
     size_t delta_pos;
-    std::vector<SnapRef>* snaps;
+    Snapshot* const* snaps;
   };
 
   Status RunImpl() {
@@ -105,16 +103,8 @@ class Evaluator : public JoinHost {
       max_atoms = std::max(max_atoms, rule->body.size());
     }
     if (scratch_.levels.size() < max_atoms) scratch_.levels.resize(max_atoms);
-    // Per-plan caches of snapshot entry pointers, one per body atom.
-    std::vector<std::vector<SnapRef>> plan_snaps(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      plan_snaps[i].assign(plans[i].atoms.size(), SnapRef{});
-    }
+    BuildSnapshots(plans);
 
-    // Snapshot maps: base = size at start of previous round (old rows),
-    // cur = size at start of this round. Delta = [base, cur).
-    snapshots_.clear();
-    known_relations_ = 0;
     for (size_t round = 0;; ++round) {
       if (round >= options_.max_rounds) {
         CountMetric("datalog.eval.budget_exhausted", 1,
@@ -124,9 +114,16 @@ class Evaluator : public JoinHost {
       ++stats_.rounds;
       TakeSnapshot();
       size_t before = stats_.facts_derived;
-      for (size_t i = 0; i < plans.size(); ++i) {
-        Status s = EvalRule(plans[i], plan_snaps[i], round);
-        if (!s.ok()) return s;
+      if (options_.seminaive && round > 0) {
+        // A plan with no delta at any body position would join nothing.
+        CollectActivePlans();
+        for (uint32_t i : visit_) {
+          DQSQ_RETURN_IF_ERROR(EvalRule(plans[i], i, round));
+        }
+      } else {
+        for (uint32_t i = 0; i < plans.size(); ++i) {
+          DQSQ_RETURN_IF_ERROR(EvalRule(plans[i], i, round));
+        }
       }
       if (options_.round_hook != nullptr) {
         options_.round_hook(options_.round_hook_ctx, round);
@@ -136,65 +133,89 @@ class Evaluator : public JoinHost {
     return Status::Ok();
   }
 
-  void TakeSnapshot() {
-    for (auto& [rel, snap] : snapshots_) {
-      snap.base = snap.cur;
-      snap.cur = snap.relation->size();
-      delta_rows_ += snap.cur - snap.base;
-    }
-    // Relations that appeared since the last scan. Relations are only ever
-    // added during evaluation, so a stable map size means nothing is new
-    // and the full walk (hash lookup per relation per round) is skipped.
-    if (db_.relation_map().size() != known_relations_) {
-      for (const auto& [rel, relation] : db_.relation_map()) {
-        if (!snapshots_.contains(rel)) {
-          snapshots_[rel] = Snapshot{&relation, 0, relation.size()};
-          delta_rows_ += relation.size();
+  // One snapshot per relation the layer's bodies read, with its readers;
+  // every plan atom points at its relation's snapshot. Relations existing
+  // now start on the grown list, so round 0 sees them in full.
+  void BuildSnapshots(const std::vector<RulePlan>& plans) {
+    size_t total_atoms = 0;
+    for (const RulePlan& plan : plans) total_atoms += plan.atoms.size();
+    snapshots_.clear();
+    snapshots_.reserve(total_atoms);  // never reallocates: pointers stay valid
+    atom_snaps_.clear();
+    atom_snaps_.reserve(total_atoms);
+    first_atom_.clear();
+    head_snaps_.clear();
+    std::unordered_map<RelId, Snapshot*, RelIdHash> by_rel;
+    for (uint32_t i = 0; i < plans.size(); ++i) {
+      first_atom_.push_back(atom_snaps_.size());
+      for (const AtomPlan& atom : plans[i].atoms) {
+        auto [it, inserted] = by_rel.try_emplace(atom.atom->rel, nullptr);
+        if (inserted) {
+          it->second = &snapshots_.emplace_back();
+          it->second->relation = db_.FindMutable(atom.atom->rel);
         }
+        std::vector<uint32_t>& readers = it->second->readers;
+        if (readers.empty() || readers.back() != i) readers.push_back(i);
+        atom_snaps_.push_back(it->second);
       }
-      known_relations_ = db_.relation_map().size();
-      ++snap_gen_;
     }
-  }
-
-  Snapshot SnapshotFor(const RelId& rel) const {
-    auto it = snapshots_.find(rel);
-    return it == snapshots_.end() ? Snapshot{} : it->second;
-  }
-
-  // Pointer into snapshots_ for `rel`, or nullptr while the relation does
-  // not exist yet. Entry addresses are stable (node-based map, entries
-  // never erased within a layer), so plans cache them: the steady-state
-  // delta checks then cost a pointer read instead of a hash lookup per
-  // rule body atom per round.
-  const Snapshot* FindSnapshot(const RelId& rel) const {
-    auto it = snapshots_.find(rel);
-    return it == snapshots_.end() ? nullptr : &it->second;
-  }
-
-  // Cached snapshot pointer for body position `pos`, resolving (and
-  // memoizing) on first sight of the relation; while the relation is
-  // absent, re-resolves only after the relation map has grown.
-  Snapshot SnapAt(const RulePlan& plan, std::vector<SnapRef>& snaps,
-                  size_t pos) const {
-    SnapRef& ref = snaps[pos];
-    if (ref.snap == nullptr) {
-      if (ref.gen == snap_gen_) return Snapshot{};
-      ref.snap = FindSnapshot(plan.atoms[pos].atom->rel);
-      ref.gen = snap_gen_;
-      if (ref.snap == nullptr) return Snapshot{};
+    for (const RulePlan& plan : plans) {
+      auto it = by_rel.find(plan.rule->head.rel);
+      head_snaps_.push_back(it == by_rel.end() ? nullptr : it->second);
     }
-    return *ref.snap;
+    active_.clear();
+    active_.reserve(snapshots_.size());
+    grown_.clear();
+    grown_.reserve(snapshots_.size());
+    for (Snapshot& snap : snapshots_) {
+      if (snap.relation == nullptr || snap.relation->size() == 0) continue;
+      snap.grown = true;
+      grown_.push_back(&snap);
+    }
+    visit_.reserve(total_atoms);  // bounds every reader list put together
+    layer_rows_ = 0;
   }
 
-  Status EvalRule(const RulePlan& plan, std::vector<SnapRef>& snaps,
-                  size_t round) {
+  // Delta = [base, cur): closes the previous round's deltas and advances
+  // the snapshots inserted into since. Every other snapshot keeps an empty
+  // delta without being touched.
+  void TakeSnapshot() {
+    // Rows entering some delta, over every relation (read or not): this
+    // evaluator is the only writer, so the database grew by exactly the
+    // facts derived since the last snapshot.
+    size_t rows = initial_facts_ + stats_.facts_derived;
+    delta_rows_ += rows - layer_rows_;
+    layer_rows_ = rows;
+    for (Snapshot* snap : active_) snap->base = snap->cur;
+    for (Snapshot* snap : grown_) {
+      snap->base = snap->cur;
+      snap->cur = snap->relation->size();
+      snap->grown = false;
+    }
+    active_.swap(grown_);
+    grown_.clear();
+  }
+
+  // visit_ = the readers of this round's non-empty deltas, ascending (the
+  // order a full visit would use, so insertion order is unchanged).
+  void CollectActivePlans() {
+    visit_.clear();
+    for (const Snapshot* snap : active_) {
+      visit_.insert(visit_.end(), snap->readers.begin(), snap->readers.end());
+    }
+    std::sort(visit_.begin(), visit_.end());
+    visit_.erase(std::unique(visit_.begin(), visit_.end()), visit_.end());
+  }
+
+  Status EvalRule(const RulePlan& plan, uint32_t index, size_t round) {
+    ++stats_.rule_visits;
     const Rule& rule = *plan.rule;
     // The head relation is looked up lazily on first emission (an eager
     // GetOrCreate would surface empty relations in Relations()/SaveState
     // and break distributed byte stability), then cached for the round —
     // node addresses in the relation map are stable across inserts.
     head_rel_ = nullptr;
+    head_snap_ = head_snaps_[index];
     if (rule.body.empty()) {
       // Facts (and rules whose body is only ground negations/diseqs) fire
       // once, in round 0 of their stratum.
@@ -204,19 +225,19 @@ class Evaluator : public JoinHost {
       if (!CheckNegatives(rule)) return Status::Ok();
       return EmitHead(rule);
     }
+    Snapshot* const* snaps = atom_snaps_.data() + first_atom_[index];
     if (!options_.seminaive || round == 0) {
       // Full join over the snapshot extents (round 0 seeds the deltas).
       scratch_.Prepare(rule.num_vars, rule.body.size());
-      EvalCtx ctx{rule.body.size(), &snaps};
+      EvalCtx ctx{rule.body.size(), snaps};
       return ExecuteRulePlan(plan, db_.ctx().arena(), *this, &ctx, scratch_,
                              &stats_.join_probes);
     }
     // Semi-naive: one pass per body position that has a non-empty delta.
     for (size_t d = 0; d < rule.body.size(); ++d) {
-      Snapshot snap = SnapAt(plan, snaps, d);
-      if (snap.cur == snap.base) continue;
+      if (snaps[d]->cur == snaps[d]->base) continue;
       scratch_.Prepare(rule.num_vars, rule.body.size());
-      EvalCtx ctx{d, &snaps};
+      EvalCtx ctx{d, snaps};
       DQSQ_RETURN_IF_ERROR(ExecuteRulePlan(plan, db_.ctx().arena(), *this,
                                            &ctx, scratch_,
                                            &stats_.join_probes));
@@ -236,7 +257,7 @@ class Evaluator : public JoinHost {
                        std::span<const TermId> /*key*/,
                        Source* out) override {
     const EvalCtx& ec = *static_cast<const EvalCtx*>(ctx);
-    Snapshot snap = SnapAt(plan, *ec.snaps, pos);
+    const Snapshot& snap = *ec.snaps[pos];
     size_t lo, hi;
     if (pos < ec.delta_pos) {
       lo = 0;
@@ -252,9 +273,7 @@ class Evaluator : public JoinHost {
       lo = 0;
       hi = snap.cur;
     }
-    // The snapshot already resolved the relation (db_ is mutable here; the
-    // map hands out const refs only through relation_map()).
-    out->rel = lo < hi ? const_cast<Relation*>(snap.relation) : nullptr;
+    out->rel = lo < hi ? snap.relation : nullptr;
     out->lo = static_cast<uint32_t>(lo);
     out->hi = static_cast<uint32_t>(hi);
     return Status::Ok();
@@ -318,9 +337,17 @@ class Evaluator : public JoinHost {
       }
       scratch_.tuple.push_back(t);
     }
-    if (head_rel_ == nullptr) head_rel_ = &db_.GetOrCreate(rule.head.rel);
+    if (head_rel_ == nullptr) {
+      head_rel_ = &db_.GetOrCreate(rule.head.rel);
+      // A relation born mid-layer: its readers see it from the next round.
+      if (head_snap_ != nullptr) head_snap_->relation = head_rel_;
+    }
     if (head_rel_->Insert(scratch_.tuple)) {
       ++stats_.facts_derived;
+      if (head_snap_ != nullptr && !head_snap_->grown) {
+        head_snap_->grown = true;
+        grown_.push_back(head_snap_);
+      }
       // TotalFacts() == initial_facts_ + facts_derived: this evaluator is
       // the only writer, and every successful insert is counted above.
       if (initial_facts_ + stats_.facts_derived > options_.max_facts) {
@@ -338,10 +365,19 @@ class Evaluator : public JoinHost {
   EvalStats stats_;
   size_t initial_facts_ = 0;       // db size when evaluation began
   Relation* head_rel_ = nullptr;   // per-EvalRule cache (lazy)
-  size_t known_relations_ = 0;     // relation-map size at last full scan
-  size_t snap_gen_ = 1;            // bumps when new relations appear
+  Snapshot* head_snap_ = nullptr;  // the EvalRule head's snapshot, if read
   size_t delta_rows_ = 0;  // rows that entered some round's delta
-  std::unordered_map<RelId, Snapshot, RelIdHash> snapshots_;
+  size_t layer_rows_ = 0;  // database rows at the layer's last snapshot
+  // Per layer (BuildSnapshots): snapshots, plan i's body-atom snapshots at
+  // atom_snaps_[first_atom_[i]...], each plan's head snapshot (null when no
+  // body reads the head), and the round's delta bookkeeping.
+  std::vector<Snapshot> snapshots_;
+  std::vector<Snapshot*> atom_snaps_;
+  std::vector<size_t> first_atom_;
+  std::vector<Snapshot*> head_snaps_;
+  std::vector<Snapshot*> active_;  // snapshots with a non-empty delta
+  std::vector<Snapshot*> grown_;   // snapshots inserted into this round
+  std::vector<uint32_t> visit_;    // this round's plans, ascending
   JoinScratch scratch_;
 };
 

@@ -37,15 +37,17 @@ struct EvalOptions {
   void* round_hook_ctx = nullptr;
 };
 
-/// Per-call evaluation counters. Every field is also accumulated into the
-/// process-wide MetricsRegistry under `datalog.eval.*` (docs/METRICS.md);
-/// this struct remains the per-invocation view.
+/// Per-call evaluation counters. Every field but `rule_visits` is also
+/// accumulated into the process-wide MetricsRegistry under `datalog.eval.*`
+/// (docs/METRICS.md); this struct remains the per-invocation view.
 struct EvalStats {
   size_t rounds = 0;
   size_t facts_derived = 0;  // new facts inserted by this evaluation
   size_t rule_firings = 0;   // successful full body matches
   size_t join_probes = 0;    // candidate rows examined
   size_t depth_pruned = 0;   // derivations dropped by the depth cap
+  size_t rule_visits = 0;    // rules visited: all in round 0, then those
+                             // reading a non-empty delta (semi-naive)
 };
 
 /// Runs `program` over `db` (which already holds the extensional facts)
