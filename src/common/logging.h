@@ -60,9 +60,11 @@ struct Voidify {
                     ::dqsq::internal::FatalMessage(              \
                         __FILE__, __LINE__, #condition)
 
+// Binds the status by value: `expr` may be `Call().status()`, a reference
+// into a temporary that dies at the end of this declaration.
 #define DQSQ_CHECK_OK(expr)                                        \
   do {                                                             \
-    const auto& dqsq_check_ok_status = (expr);                     \
+    const auto dqsq_check_ok_status = (expr);                      \
     if (!dqsq_check_ok_status.ok()) {                              \
       ::dqsq::internal::FatalMessage(__FILE__, __LINE__, #expr)    \
           << dqsq_check_ok_status.message();                       \

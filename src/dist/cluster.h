@@ -54,9 +54,9 @@ class Cluster {
   /// Ground facts load into the owning peer's database; proper rules are
   /// installed according to `mode`. An active `faults` plan runs the
   /// network with fault injection plus the reliable-delivery shim.
-  /// `wire_batch` enables section-batched kTuples flushes (default off:
-  /// byte-identical wire). `num_shards` exists only so perfbench/ sources
-  /// compile unchanged; any value above 1 aborts.
+  /// `wire_batch` sets the frame budget of the peers' kTuples flushes.
+  /// `num_shards` exists only so perfbench/ sources compile unchanged; any
+  /// value above 1 aborts.
   Cluster(DatalogContext& ctx, const Program& program,
           const ParsedQuery& query, uint64_t seed,
           const EvalOptions& eval_options, Mode mode,

@@ -45,8 +45,7 @@ struct DistOptions {
   /// Kept only so perfbench/ sources compile unchanged: one logical peer
   /// is one peer, and the solvers reject any value above 1.
   size_t num_shards = 1;
-  /// Section-batching of small kTuples flushes. Default off (unchanged
-  /// wire); see WireBatchOptions.
+  /// Frame budget for kTuples flushes; see WireBatchOptions.
   WireBatchOptions wire_batch;
 };
 

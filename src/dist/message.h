@@ -36,10 +36,10 @@ enum class MessageKind {
                     // carries its receiver-side resume point as an ack)
 };
 
-/// One batched kTuples payload: a relation plus its rows. A message whose
+/// One extra kTuples payload: a relation plus its rows. A message whose
 /// `sections` is non-empty carries several relations' flushes in one wire
-/// frame (dist.net.batched_tuples); the primary rel/tuples fields still
-/// hold the first flush so unbatched consumers and accounting see it.
+/// frame (dist.net.batched_tuples); the primary rel/tuples fields hold the
+/// first flush.
 struct TupleSection {
   RelId rel;
   std::vector<Tuple> tuples;
@@ -56,8 +56,8 @@ struct Message {
   SymbolId subscriber = 0;       // kActivate
   std::vector<bool> adornment;   // kSubquery
   std::vector<Rule> rules;       // kInstall
-  // Additional kTuples payloads batched into this frame (wire batching,
-  // DistOptions::wire_batch). Empty on the default unbatched path.
+  // Additional kTuples payloads packed into this frame (DatalogPeer's
+  // outbox). Empty when the flush fed a single relation of the target.
   std::vector<TupleSection> sections;
 
   // Reliable-delivery envelope, stamped by the transport shim when the

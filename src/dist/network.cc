@@ -42,8 +42,8 @@ size_t ApproxWireBytes(const Message& m) {
   for (const Tuple& t : m.tuples) bytes += 4 * t.size();
   bytes += (m.adornment.size() + 7) / 8;
   for (const Rule& r : m.rules) bytes += 16 * (1 + r.body.size());
-  // Batched kTuples sections (wire batching): an 8-byte section header
-  // (relation id) plus the rows. Absent on the unbatched default path.
+  // Extra kTuples sections packed into one frame: an 8-byte section
+  // header (relation id) plus the rows.
   for (const TupleSection& s : m.sections) {
     bytes += 8;
     for (const Tuple& t : s.tuples) bytes += 4 * t.size();
@@ -128,40 +128,6 @@ void SimNetwork::PushToChannel(Message m) {
   ChannelKey key{m.from, m.to};
   auto [it, inserted] = channels_.try_emplace(key);
   std::deque<Message>& channel = it->second;
-  // Coalesce superseded transport-maintenance traffic in the queue: an
-  // undelivered standalone ack is strictly dominated by a newer one for
-  // the same channel (the cumulative ack only grows), and an undelivered
-  // wire copy of seq N is dominated by its own retransmit copy (identical
-  // payload, fresher ack/SACK/epoch stamps). Keeping both copies is worse
-  // than useless — whenever transport timers outrun the wire's one-
-  // delivery-per-step drain rate (reachable once many channels are
-  // active at once), the queue depth grows without bound, and the acks
-  // that would quench the retransmit loops are stuck behind the very
-  // copies they supersede: a livelock. With coalescing a
-  // channel's queue holds at most one copy per sequence number plus one
-  // standalone ack, so the backlog is bounded by the flow-control window.
-  // Real stacks behave the same way (ack coalescing, qdisc-level
-  // superseding of requeued segments); the socket backend gets equivalent
-  // backpressure from its bounded send buffer. The queue position of the
-  // superseded copy is kept, never its content; of the two stamps the
-  // higher cumulative ack wins (a delayed-release older copy must not
-  // roll back a fresher one).
-  const bool is_ack = m.kind == MessageKind::kTransportAck;
-  if (is_ack || (m.retransmit && m.seq > 0)) {
-    for (Message& queued : channel) {
-      const bool same =
-          is_ack ? queued.kind == MessageKind::kTransportAck
-                 : queued.seq == m.seq &&
-                       queued.kind != MessageKind::kTransportAck &&
-                       queued.kind != MessageKind::kTransportHello;
-      if (!same) continue;
-      if (m.ack >= queued.ack) queued = std::move(m);
-      ++stats_.coalesced;
-      CountMetric("dist.net.coalesced", 1,
-                  {{"kind", is_ack ? "ack" : "retransmit"}}, "messages");
-      return;
-    }
-  }
   if (channel.empty()) {
     auto pos = std::lower_bound(
         nonempty_.begin(), nonempty_.end(), key,

@@ -64,13 +64,11 @@ struct CrashEvent {
 /// budget priced by this same convention.
 size_t ApproxWireBytes(const Message& m);
 
-/// Opt-in kTuples batching (ROADMAP wire-efficiency item): at the end of
-/// each fixpoint flush a peer packs its small kTuples payloads per target
-/// into one message (extra payloads ride as Message::sections) and splits
-/// payloads larger than `max_bytes` across messages. Off by default — the
-/// unbatched trajectory is byte-identical to the pre-batching network.
+/// kTuples framing: at the end of each fixpoint flush a peer packs its
+/// kTuples payloads per target into one message (extra payloads ride as
+/// Message::sections) and splits payloads larger than `max_bytes` across
+/// messages. This is the only way tuples reach the wire.
 struct WireBatchOptions {
-  bool enable = false;
   size_t max_bytes = 4096;  // ApproxWireBytes budget per packed message
 };
 
@@ -138,8 +136,6 @@ struct NetworkStats {
   size_t retransmits = 0;        // timeout-driven resends by the shim
   size_t spurious = 0;           // deliveries suppressed by receiver dedup
   size_t transport_acks = 0;     // standalone kTransportAck messages sent
-  size_t coalesced = 0;          // queued wire copies superseded in place
-                                 // by a fresher ack/retransmit copy
   // Mirrored from the shim's TransportStats (dist/reliable.h).
   size_t sacked = 0;             // retransmit entries erased by SACK blocks
   size_t fast_retransmits = 0;   // early resends on dup-SACK evidence

@@ -115,7 +115,7 @@ Status DatalogPeer::Activate(const RelId& rel, SymbolId subscriber,
   DQSQ_CHECK_EQ(rel.peer, id_) << "activation routed to the wrong peer";
   if (has_subscriber && subscriber != id_) {
     subscribers_[rel].insert(subscriber);
-    FlushRelationTo(rel, subscriber, network);
+    FlushRelationTo(rel, subscriber);
   }
   if (active_.contains(rel)) return Status::Ok();
   active_.insert(rel);
@@ -270,7 +270,7 @@ Status DatalogPeer::RunFixpointAndFlush(Network& network) {
   DQSQ_RETURN_IF_ERROR(Evaluate(program_, db_, eval_options_).status());
   // Stream owned relations to their subscribers (dnaive data flow).
   for (const auto& [rel, subs] : subscribers_) {
-    for (SymbolId target : subs) FlushRelationTo(rel, target, network);
+    for (SymbolId target : subs) FlushRelationTo(rel, target);
   }
   // Ship derived tuples of remote-owned relations to their owner (dQSQ
   // binding/answer flow and remainder-rule heads).
@@ -279,14 +279,13 @@ Status DatalogPeer::RunFixpointAndFlush(Network& network) {
     return a.pred != b.pred ? a.pred < b.pred : a.peer < b.peer;
   });
   for (const RelId& rel : rels) {
-    if (rel.peer != id_) FlushRelationTo(rel, rel.peer, network);
+    if (rel.peer != id_) FlushRelationTo(rel, rel.peer);
   }
   DrainOutbox(network);
   return Status::Ok();
 }
 
-void DatalogPeer::FlushRelationTo(const RelId& rel, SymbolId target,
-                                  Network& network) {
+void DatalogPeer::FlushRelationTo(const RelId& rel, SymbolId target) {
   if (target == id_) return;
   const Relation* relation = db_.Find(rel);
   if (relation == nullptr) return;
@@ -305,25 +304,9 @@ void DatalogPeer::FlushRelationTo(const RelId& rel, SymbolId target,
     tuples.push_back(std::move(t));
   }
   watermark = relation->size();
-  EmitTuples(target, rel, std::move(tuples), network);
-}
-
-void DatalogPeer::EmitTuples(SymbolId target, const RelId& rel,
-                             std::vector<Tuple> tuples, Network& network) {
-  if (tuples.empty() || target == id_) return;
-  if (!batch_.enable) {
-    // Default path: one message per flush, byte-identical to the
-    // pre-batching wire.
-    Message m;
-    m.kind = MessageKind::kTuples;
-    m.from = id_;
-    m.to = target;
-    m.rel = rel;
-    m.tuples = std::move(tuples);
-    SendBasic(std::move(m), network);
-    return;
+  if (!tuples.empty()) {
+    outbox_.push_back(OutboxEntry{target, rel, std::move(tuples)});
   }
-  outbox_.push_back(OutboxEntry{target, rel, std::move(tuples)});
 }
 
 void DatalogPeer::DrainOutbox(Network& network) {

@@ -67,7 +67,8 @@ class DatalogPeer : public PeerNode {
   /// driver is the diffusing computation's root).
   const DsNode& ds() const { return ds_; }
 
-  /// Entry point used by drivers: activate `rel` here (dnaive).
+  /// Entry point used by drivers: activate `rel` here (dnaive). Rows owed
+  /// to the subscriber ship at the next RunFixpointAndFlush.
   Status Activate(const RelId& rel, SymbolId subscriber, bool has_subscriber,
                   Network& network);
 
@@ -88,9 +89,9 @@ class DatalogPeer : public PeerNode {
     }
   };
 
-  /// Rows of `rel` not yet shipped to `target` are sent as kTuples.
-  void FlushRelationTo(const RelId& rel, SymbolId target,
-                       Network& network);
+  /// Queues the rows of `rel` not yet shipped to `target` in the outbox;
+  /// the next DrainOutbox sends them as kTuples.
+  void FlushRelationTo(const RelId& rel, SymbolId target);
 
   /// Sends a basic (non-ack) message, bumping the DS deficit.
   void SendBasic(Message message, Network& network);
@@ -118,16 +119,13 @@ class DatalogPeer : public PeerNode {
   Status RewriteForPattern(const RelId& rel, const Adornment& adornment,
                            Network& network);
 
-  // ---- Wire batching (engaged only when batch_.enable) --------------------
+  // ---- Outbound kTuples flushes ------------------------------------------
 
   struct OutboxEntry {
     SymbolId target;
     RelId rel;
     std::vector<Tuple> tuples;
   };
-  /// Queues or immediately sends one kTuples flush depending on batch_.
-  void EmitTuples(SymbolId target, const RelId& rel,
-                  std::vector<Tuple> tuples, Network& network);
   /// Packs queued flushes per target into section-batched messages,
   /// splitting payloads above batch_.max_bytes. Called at the end of every
   /// RunFixpointAndFlush.
@@ -161,8 +159,8 @@ class DatalogPeer : public PeerNode {
   // Call patterns already rewritten (pred + adornment; "the same machinery
   // is reused" for repeated requests).
   std::set<std::pair<PredicateId, Adornment>> rewritten_;
-  // Pending batched kTuples flushes (wire batching; always drained before
-  // OnMessage returns, so never serialized).
+  // Pending kTuples flushes (always drained before OnMessage returns, so
+  // never serialized).
   std::vector<OutboxEntry> outbox_;
   // Set by Crash(), cleared by RestoreState(): a crashed peer must not
   // process messages (the network drops deliveries to down peers — a

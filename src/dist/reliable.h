@@ -25,7 +25,11 @@
 //    short delay. Sending an ack (piggybacked or standalone) only re-arms
 //    that delay — the owed state is cleared when a message carrying the
 //    ack is known to have been DELIVERED, so a dropped carrier costs one
-//    extra standalone ack, never a spurious retransmit round trip.
+//    extra standalone ack, never a spurious retransmit round trip. The
+//    standalone-ack delay doubles per emission until data arrives on the
+//    channel: neither wire rewrites queued copies, so this backoff alone
+//    keeps many owed channels from flooding the wire with acks (see
+//    ReceiverState::ack_backoff).
 //
 // The transport is a single object owned by SimNetwork (the simulator sees
 // both endpoints), but the protocol state is strictly per directed channel,

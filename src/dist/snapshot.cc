@@ -175,11 +175,8 @@ void EncodeMessage(const Message& m, SnapshotWriter& w) {
     w.U64(s.first);
     w.U64(s.last);
   }
-  // Flags byte (was a plain retransmit Bool): bit0 = retransmit, bit1 =
-  // reserved (never set, ignored on decode), bit2 = batched sections
-  // follow. With batching off every bit above 0 is clear, so the encoding
-  // — and the pinned snapshot_bytes baselines — match the plain-Bool
-  // codec byte for byte.
+  // Flags byte: bit0 = retransmit, bit1 = reserved (never set, ignored on
+  // decode), bit2 = extra kTuples sections follow.
   uint8_t flags = 0;
   if (m.retransmit) flags |= 1;
   if (!m.sections.empty()) flags |= 4;

@@ -198,9 +198,8 @@ std::string EncodeWireMessage(const Message& m, const DatalogContext& ctx) {
     w.U64(s.first);
     w.U64(s.last);
   }
-  // Flags byte (was a plain retransmit Bool): bit0 = retransmit, bit1 =
-  // reserved (never set, ignored on decode), bit2 = batched sections
-  // follow. Byte-identical to the plain-Bool codec when batching is off.
+  // Flags byte: bit0 = retransmit, bit1 = reserved (never set, ignored on
+  // decode), bit2 = extra kTuples sections follow.
   uint8_t flags = 0;
   if (m.retransmit) flags |= 1;
   if (!m.sections.empty()) flags |= 4;

@@ -374,11 +374,11 @@ TEST(DistShimTest, ManyOwedChannelsTerminate) {
   // standalone ack each ack_delay steps outruns the wire's
   // one-delivery-per-step drain rate once ~ack_delay channels owe at
   // once; the discharging acks queue behind the flood they created,
-  // logical traffic starves, and Dijkstra-Scholten never terminates. Two
-  // defenses stop it: the uncapped standalone-ack backoff
-  // (ReliableTransport::PollWire) and superseded-ack coalescing
-  // (SimNetwork::PushToChannel). This 30-channel mesh exhausts its step
-  // budget with both removed and terminates with either one in place.
+  // logical traffic starves, and Dijkstra-Scholten never terminates. The
+  // uncapped standalone-ack backoff (ReliableTransport::PollWire) is the
+  // only defense: the simulated wire delivers every copy it is given, as
+  // the socket wire does. This 30-channel mesh exhausts its step budget
+  // without the backoff and terminates with it.
   // The shim is engaged with a vanishing duplicate probability so the
   // wire itself stays effectively lossless — the livelock needs no
   // actual faults.
@@ -408,74 +408,86 @@ TEST(DistShimTest, ManyOwedChannelsTerminate) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire batching (opt-in).
+// Wire batching: every fixpoint flush packs its kTuples payloads per target.
 // ---------------------------------------------------------------------------
+
+std::vector<std::string> CentralQsqAnswers(const std::string& program_text,
+                                           const std::string& query_text) {
+  DatalogContext ctx;
+  Parsed p = ParseAll(ctx, program_text, query_text);
+  Database db(&ctx);
+  auto central = SolveQuery(p.program, db, p.query, Strategy::kQsq);
+  DQSQ_CHECK_OK(central.status());
+  return AnswerStrings(central->answers, ctx);
+}
+
+// Peer a defines q through three relations of peer b, so each fixpoint at
+// a derives bindings for three in__ relations owned by b — three flushes
+// to one target, packed into one envelope.
+const char* kFanOut = R"(
+  q@a(X, Y) :- e@b(X, Y).
+  q@a(X, Y) :- f@b(X, Y).
+  q@a(X, Y) :- g@b(X, Y).
+  e@b("1", "2").
+  f@b("1", "3").
+  g@b("1", "4").
+)";
 
 TEST(WireBatchTest, BatchingPreservesAnswersAndNeverAddsMessages) {
   // On the chain a fixpoint flush carries at most one relation per
-  // target, so batching is a behavioral no-op here: answers, shipped rows
-  // and message counts all pin to the unbatched run. (Sections form when
-  // one fixpoint feeds several relations of the same peer — asserted in
-  // DqsqFanOutPacksSections below.)
+  // target, so no sections form and every flush is its own message: the
+  // counts pinned here are those of the one-message-per-flush wire.
   const std::string chain = bench::DistributedChainProgram(4, 16);
-  for (bool qsq : {false, true}) {
-    auto base = Solve(qsq, chain, "path@peer0(v0, Y)", DistOptions{});
-    ASSERT_TRUE(base.ok());
-    DistOptions opts;
-    opts.wire_batch.enable = true;
-    opts.wire_batch.max_bytes = 4096;
-    auto batched = Solve(qsq, chain, "path@peer0(v0, Y)", opts);
-    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-    EXPECT_EQ(batched->answers, base->answers);
-    // Every row still arrives (sections count as shipped rows)...
-    EXPECT_EQ(batched->stats.tuples_shipped, base->stats.tuples_shipped);
-    // ...in no more envelopes than before.
-    EXPECT_LE(batched->stats.messages_delivered,
-              base->stats.messages_delivered);
+  const std::string query = "path@peer0(v0, Y)";
+  const std::vector<std::string> central = CentralQsqAnswers(chain, query);
+  ASSERT_FALSE(central.empty());
+  auto& registry = MetricsRegistry::Global();
+  struct Pinned {
+    bool qsq;
+    size_t messages;
+    size_t tuples;
+  };
+  for (Pinned pin : {Pinned{false, 20, 1176}, Pinned{true, 34, 145}}) {
+    MetricsSnapshot before = registry.Snapshot();
+    auto run = Solve(pin.qsq, chain, query, DistOptions{});
+    MetricsSnapshot diff = registry.Snapshot().Diff(before);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run->answers, central);
+    EXPECT_EQ(run->stats.messages_delivered, pin.messages)
+        << (pin.qsq ? "dqsq" : "dnaive");
+    EXPECT_EQ(run->stats.tuples_shipped, pin.tuples)
+        << (pin.qsq ? "dqsq" : "dnaive");
+    EXPECT_EQ(diff.Total("dist.net.batched_tuples"), 0u);
   }
 }
 
 TEST(WireBatchTest, DqsqFanOutPacksSections) {
-  // Peer a defines q through three relations of peer b, so each fixpoint
-  // at a derives bindings for three in__ relations owned by b — three
-  // flushes to one target, which batching packs into one envelope.
-  const char* fan_out = R"(
-    q@a(X, Y) :- e@b(X, Y).
-    q@a(X, Y) :- f@b(X, Y).
-    q@a(X, Y) :- g@b(X, Y).
-    e@b("1", "2").
-    f@b("1", "3").
-    g@b("1", "4").
-  )";
+  const std::string query = "q@a(\"1\", Y)";
+  const std::vector<std::string> central = CentralQsqAnswers(kFanOut, query);
+  EXPECT_EQ(central, (std::vector<std::string>{"2", "3", "4"}));
   auto& registry = MetricsRegistry::Global();
-  DistOptions plain;
-  auto unbatched = Solve(/*qsq=*/true, fan_out, "q@a(\"1\", Y)", plain);
-  ASSERT_TRUE(unbatched.ok());
-  EXPECT_EQ(unbatched->answers, (std::vector<std::string>{"2", "3", "4"}));
-  DistOptions opts;
-  opts.wire_batch.enable = true;
-  opts.wire_batch.max_bytes = 4096;
   MetricsSnapshot before = registry.Snapshot();
-  auto batched = Solve(/*qsq=*/true, fan_out, "q@a(\"1\", Y)", opts);
+  auto run = Solve(/*qsq=*/true, kFanOut, query, DistOptions{});
   MetricsSnapshot diff = registry.Snapshot().Diff(before);
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  EXPECT_EQ(batched->answers, unbatched->answers);
-  EXPECT_EQ(batched->stats.tuples_shipped, unbatched->stats.tuples_shipped);
-  EXPECT_LT(batched->stats.messages_delivered,
-            unbatched->stats.messages_delivered);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->answers, central);
+  // One message per flush would take 24 messages (DS acks included).
+  EXPECT_EQ(run->stats.messages_delivered, 16u);
+  EXPECT_EQ(run->stats.tuples_shipped, 7u);
   EXPECT_GT(diff.Total("dist.net.batched_tuples"), 0u);
 }
 
 TEST(WireBatchTest, TinyBudgetSplitsOversizedPayloads) {
   const std::string chain = bench::DistributedChainProgram(3, 16);
+  const std::string query = "path@peer0(v0, Y)";
   auto& registry = MetricsRegistry::Global();
-  auto base = Solve(false, chain, "path@peer0(v0, Y)", DistOptions{});
+  auto base = Solve(false, chain, query, DistOptions{});
   ASSERT_TRUE(base.ok());
+  EXPECT_EQ(base->answers, CentralQsqAnswers(chain, query));
   DistOptions opts;
-  opts.wire_batch.enable = true;
   opts.wire_batch.max_bytes = 24;  // one ~2-ary row past the 16-byte header
   MetricsSnapshot before = registry.Snapshot();
-  auto split = Solve(false, chain, "path@peer0(v0, Y)", opts);
+  auto split = Solve(false, chain, query, opts);
   MetricsSnapshot diff = registry.Snapshot().Diff(before);
   ASSERT_TRUE(split.ok()) << split.status().ToString();
   EXPECT_EQ(split->answers, base->answers);
