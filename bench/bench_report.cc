@@ -6,45 +6,6 @@
 
 namespace dqsq::bench {
 
-namespace {
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string Quoted(const std::string& s) { return "\"" + EscapeJson(s) + "\""; }
-
-}  // namespace
-
 BenchReporter::BenchReporter(std::string experiment)
     : experiment_(std::move(experiment)),
       start_(MetricsRegistry::Global().Snapshot()),
@@ -53,7 +14,7 @@ BenchReporter::BenchReporter(std::string experiment)
 BenchReporter::~BenchReporter() { Write(); }
 
 void BenchReporter::Param(const std::string& key, const std::string& value) {
-  params_.emplace_back(key, Quoted(value));
+  params_.emplace_back(key, JsonQuote(value));
 }
 
 void BenchReporter::Param(const std::string& key, int64_t value) {
@@ -87,11 +48,11 @@ std::string BenchReporter::Write() {
 
   std::string json = "{\n";
   json += "  \"schema_version\": 1,\n";
-  json += "  \"experiment\": " + Quoted(experiment_) + ",\n";
+  json += "  \"experiment\": " + JsonQuote(experiment_) + ",\n";
   json += "  \"params\": {";
   for (size_t i = 0; i < params_.size(); ++i) {
     if (i > 0) json += ", ";
-    json += Quoted(params_[i].first) + ": " + params_[i].second;
+    json += JsonQuote(params_[i].first) + ": " + params_[i].second;
   }
   json += "},\n";
   json += "  \"wall_time_ns\": " + std::to_string(wall_ns) + ",\n";
@@ -111,7 +72,7 @@ std::string BenchReporter::Write() {
   for (const auto& [peer, count] : per_peer) {
     if (!first) json += ", ";
     first = false;
-    json += Quoted(peer) + ": " + std::to_string(count);
+    json += JsonQuote(peer) + ": " + std::to_string(count);
   }
   json += "}\n";
   json += "  },\n";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cinttypes>
 #include <cstdio>
 #include <sstream>
 
@@ -190,13 +189,6 @@ void MetricsRegistry::ResetForTest() {
 // ---------------------------------------------------------------------------
 // Snapshot
 
-bool operator==(const MetricSample& a, const MetricSample& b) {
-  return a.name == b.name && a.labels == b.labels && a.type == b.type &&
-         a.unit == b.unit && a.value == b.value &&
-         a.gauge_value == b.gauge_value && a.count == b.count &&
-         a.sum == b.sum && a.buckets == b.buckets;
-}
-
 const MetricSample* MetricsSnapshot::Find(const std::string& name,
                                           const Labels& labels) const {
   for (const MetricSample& s : samples) {
@@ -291,39 +283,41 @@ std::string MetricsSnapshot::ToTable() const {
 // ---------------------------------------------------------------------------
 // JSON serialization
 
-namespace {
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
+std::string JsonQuote(std::string_view s) {
+  std::string out = "\"";
+  out.reserve(s.size() + 2);
   for (char c : s) {
     switch (c) {
       case '"':
-        *out += "\\\"";
+        out += "\\\"";
         break;
       case '\\':
-        *out += "\\\\";
+        out += "\\\\";
         break;
       case '\n':
-        *out += "\\n";
+        out += "\\n";
         break;
       case '\t':
-        *out += "\\t";
+        out += "\\t";
         break;
       case '\r':
-        *out += "\\r";
+        out += "\\r";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
+          out += buf;
         } else {
-          out->push_back(c);
+          out.push_back(c);
         }
     }
   }
-  out->push_back('"');
+  out.push_back('"');
+  return out;
 }
+
+namespace {
 
 void AppendLabelsJson(const Labels& labels, std::string* out) {
   out->push_back('{');
@@ -331,9 +325,9 @@ void AppendLabelsJson(const Labels& labels, std::string* out) {
   for (const auto& [k, v] : labels.entries()) {
     if (!first) out->push_back(',');
     first = false;
-    AppendJsonString(k, out);
+    *out += JsonQuote(k);
     out->push_back(':');
-    AppendJsonString(v, out);
+    *out += JsonQuote(v);
   }
   out->push_back('}');
 }
@@ -347,11 +341,11 @@ std::string MetricsSnapshot::ToJson() const {
     if (!first_sample) out.push_back(',');
     first_sample = false;
     out += "{\"name\":";
-    AppendJsonString(s.name, &out);
+    out += JsonQuote(s.name);
     out += ",\"type\":";
-    AppendJsonString(MetricTypeName(s.type), &out);
+    out += JsonQuote(MetricTypeName(s.type));
     out += ",\"unit\":";
-    AppendJsonString(s.unit, &out);
+    out += JsonQuote(s.unit);
     out += ",\"labels\":";
     AppendLabelsJson(s.labels, &out);
     switch (s.type) {
@@ -380,356 +374,6 @@ std::string MetricsSnapshot::ToJson() const {
   }
   out += "]}";
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// JSON parsing — a minimal recursive-descent parser for the snapshot
-// schema. Numbers are kept as uint64/int64 (no double round-trip), which
-// is what exact counter comparisons in tests rely on.
-
-namespace {
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  bool negative = false;    // number sign
-  uint64_t magnitude = 0;   // number absolute value (integers only)
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Get(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  int64_t AsInt64() const {
-    return negative ? -static_cast<int64_t>(magnitude)
-                    : static_cast<int64_t>(magnitude);
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  StatusOr<JsonValue> Parse() {
-    DQSQ_ASSIGN_OR_RETURN(JsonValue v, ParseValue());
-    SkipWs();
-    if (pos_ != text_.size()) {
-      return InvalidArgumentError("trailing characters after JSON value");
-    }
-    return v;
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  Status Expect(char c) {
-    SkipWs();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return InvalidArgumentError(std::string("expected '") + c +
-                                  "' at offset " + std::to_string(pos_));
-    }
-    ++pos_;
-    return Status::Ok();
-  }
-
-  bool Peek(char c) {
-    SkipWs();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  StatusOr<JsonValue> ParseValue() {
-    SkipWs();
-    if (pos_ >= text_.size()) {
-      return InvalidArgumentError("unexpected end of JSON");
-    }
-    char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
-    if (c == '"') return ParseStringValue();
-    if (c == 't' || c == 'f') return ParseBool();
-    if (c == 'n') return ParseNull();
-    if (c == '-' || (c >= '0' && c <= '9')) return ParseNumber();
-    return InvalidArgumentError(std::string("unexpected character '") + c +
-                                "' at offset " + std::to_string(pos_));
-  }
-
-  StatusOr<JsonValue> ParseObject() {
-    DQSQ_RETURN_IF_ERROR(Expect('{'));
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    if (Peek('}')) {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      DQSQ_ASSIGN_OR_RETURN(std::string key, ParseString());
-      DQSQ_RETURN_IF_ERROR(Expect(':'));
-      DQSQ_ASSIGN_OR_RETURN(JsonValue member, ParseValue());
-      v.object.emplace_back(std::move(key), std::move(member));
-      if (Peek(',')) {
-        ++pos_;
-        continue;
-      }
-      DQSQ_RETURN_IF_ERROR(Expect('}'));
-      return v;
-    }
-  }
-
-  StatusOr<JsonValue> ParseArray() {
-    DQSQ_RETURN_IF_ERROR(Expect('['));
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    if (Peek(']')) {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      DQSQ_ASSIGN_OR_RETURN(JsonValue element, ParseValue());
-      v.array.push_back(std::move(element));
-      if (Peek(',')) {
-        ++pos_;
-        continue;
-      }
-      DQSQ_RETURN_IF_ERROR(Expect(']'));
-      return v;
-    }
-  }
-
-  StatusOr<JsonValue> ParseStringValue() {
-    DQSQ_ASSIGN_OR_RETURN(std::string s, ParseString());
-    JsonValue v;
-    v.kind = JsonValue::Kind::kString;
-    v.string = std::move(s);
-    return v;
-  }
-
-  StatusOr<std::string> ParseString() {
-    DQSQ_RETURN_IF_ERROR(Expect('"'));
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-          out.push_back('"');
-          break;
-        case '\\':
-          out.push_back('\\');
-          break;
-        case '/':
-          out.push_back('/');
-          break;
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case 'b':
-          out.push_back('\b');
-          break;
-        case 'f':
-          out.push_back('\f');
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return InvalidArgumentError("truncated \\u escape");
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return InvalidArgumentError("bad \\u escape digit");
-            }
-          }
-          // Snapshot strings are ASCII; only control-range escapes appear.
-          if (code > 0x7f) {
-            return InvalidArgumentError("non-ASCII \\u escape unsupported");
-          }
-          out.push_back(static_cast<char>(code));
-          break;
-        }
-        default:
-          return InvalidArgumentError("unknown escape in JSON string");
-      }
-    }
-    if (pos_ >= text_.size()) {
-      return InvalidArgumentError("unterminated JSON string");
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  StatusOr<JsonValue> ParseNumber() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    if (text_[pos_] == '-') {
-      v.negative = true;
-      ++pos_;
-    }
-    if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
-      return InvalidArgumentError("malformed JSON number");
-    }
-    uint64_t magnitude = 0;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      uint64_t digit = static_cast<uint64_t>(text_[pos_] - '0');
-      if (magnitude > (~uint64_t{0} - digit) / 10) {
-        return InvalidArgumentError("JSON number overflows uint64");
-      }
-      magnitude = magnitude * 10 + digit;
-      ++pos_;
-    }
-    if (pos_ < text_.size() &&
-        (text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      return InvalidArgumentError(
-          "non-integer JSON numbers are not part of the snapshot schema");
-    }
-    v.magnitude = magnitude;
-    return v;
-  }
-
-  StatusOr<JsonValue> ParseBool() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      v.boolean = true;
-      pos_ += 4;
-      return v;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      v.boolean = false;
-      pos_ += 5;
-      return v;
-    }
-    return InvalidArgumentError("malformed JSON literal");
-  }
-
-  StatusOr<JsonValue> ParseNull() {
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return JsonValue{};
-    }
-    return InvalidArgumentError("malformed JSON literal");
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-StatusOr<uint64_t> RequireUInt(const JsonValue& obj, const std::string& key) {
-  const JsonValue* v = obj.Get(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber || v->negative) {
-    return InvalidArgumentError("missing or non-uint field \"" + key + "\"");
-  }
-  return v->magnitude;
-}
-
-StatusOr<std::string> RequireString(const JsonValue& obj,
-                                    const std::string& key) {
-  const JsonValue* v = obj.Get(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kString) {
-    return InvalidArgumentError("missing or non-string field \"" + key +
-                                "\"");
-  }
-  return v->string;
-}
-
-}  // namespace
-
-StatusOr<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& json) {
-  DQSQ_ASSIGN_OR_RETURN(JsonValue root, JsonParser(json).Parse());
-  if (root.kind != JsonValue::Kind::kObject) {
-    return InvalidArgumentError("snapshot JSON must be an object");
-  }
-  DQSQ_ASSIGN_OR_RETURN(uint64_t version, RequireUInt(root, "schema_version"));
-  if (version != 1) {
-    return InvalidArgumentError("unsupported snapshot schema_version " +
-                                std::to_string(version));
-  }
-  const JsonValue* metrics = root.Get("metrics");
-  if (metrics == nullptr || metrics->kind != JsonValue::Kind::kArray) {
-    return InvalidArgumentError("snapshot JSON lacks a \"metrics\" array");
-  }
-
-  MetricsSnapshot snapshot;
-  for (const JsonValue& m : metrics->array) {
-    if (m.kind != JsonValue::Kind::kObject) {
-      return InvalidArgumentError("metric entries must be objects");
-    }
-    MetricSample sample;
-    DQSQ_ASSIGN_OR_RETURN(sample.name, RequireString(m, "name"));
-    DQSQ_ASSIGN_OR_RETURN(sample.unit, RequireString(m, "unit"));
-    DQSQ_ASSIGN_OR_RETURN(std::string type, RequireString(m, "type"));
-    const JsonValue* labels = m.Get("labels");
-    if (labels != nullptr) {
-      if (labels->kind != JsonValue::Kind::kObject) {
-        return InvalidArgumentError("\"labels\" must be an object");
-      }
-      for (const auto& [k, v] : labels->object) {
-        if (v.kind != JsonValue::Kind::kString) {
-          return InvalidArgumentError("label values must be strings");
-        }
-        sample.labels.Set(k, v.string);
-      }
-    }
-    if (type == "counter") {
-      sample.type = MetricType::kCounter;
-      DQSQ_ASSIGN_OR_RETURN(sample.value, RequireUInt(m, "value"));
-    } else if (type == "gauge") {
-      sample.type = MetricType::kGauge;
-      const JsonValue* v = m.Get("value");
-      if (v == nullptr || v->kind != JsonValue::Kind::kNumber) {
-        return InvalidArgumentError("gauge lacks a numeric \"value\"");
-      }
-      sample.gauge_value = v->AsInt64();
-    } else if (type == "histogram") {
-      sample.type = MetricType::kHistogram;
-      DQSQ_ASSIGN_OR_RETURN(sample.count, RequireUInt(m, "count"));
-      DQSQ_ASSIGN_OR_RETURN(sample.sum, RequireUInt(m, "sum"));
-      const JsonValue* buckets = m.Get("buckets");
-      if (buckets == nullptr || buckets->kind != JsonValue::Kind::kArray) {
-        return InvalidArgumentError("histogram lacks a \"buckets\" array");
-      }
-      for (const JsonValue& b : buckets->array) {
-        if (b.kind != JsonValue::Kind::kObject) {
-          return InvalidArgumentError("bucket entries must be objects");
-        }
-        DQSQ_ASSIGN_OR_RETURN(uint64_t le, RequireUInt(b, "le"));
-        DQSQ_ASSIGN_OR_RETURN(uint64_t count, RequireUInt(b, "count"));
-        sample.buckets.emplace_back(le, count);
-      }
-    } else {
-      return InvalidArgumentError("unknown metric type \"" + type + "\"");
-    }
-    snapshot.samples.push_back(std::move(sample));
-  }
-  return snapshot;
 }
 
 }  // namespace dqsq

@@ -16,8 +16,9 @@
 //    subtracts an earlier snapshot (counters/histograms subtract, gauges
 //    keep the later value), which is how per-run numbers are extracted
 //    from the process-wide totals.
-//  * ToJson() emits the stable schema consumed by bench/bench_report.h;
-//    FromJson() parses it back (the round-trip is unit-tested).
+//  * ToJson() emits the stable schema consumed by bench/bench_report.h
+//    (a golden string in the unit test pins it). JsonQuote() is the one
+//    JSON string escaper; the bench and cluster reports use it too.
 #ifndef DQSQ_COMMON_METRICS_H_
 #define DQSQ_COMMON_METRICS_H_
 
@@ -30,10 +31,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
-
-#include "common/status.h"
 
 namespace dqsq {
 
@@ -168,8 +168,6 @@ struct MetricSample {
   uint64_t count = 0;  // histogram
   uint64_t sum = 0;    // histogram
   std::vector<std::pair<uint64_t, uint64_t>> buckets;  // (le, count)
-
-  friend bool operator==(const MetricSample& a, const MetricSample& b);
 };
 
 /// A point-in-time copy of every registered metric, sorted by
@@ -200,10 +198,12 @@ struct MetricsSnapshot {
   ///   {"schema_version":1,"metrics":[{"name":...,"type":...,"unit":...,
   ///    "labels":{...},...value fields...}]}
   std::string ToJson() const;
-
-  /// Parses ToJson() output (labels/keys in any order).
-  static StatusOr<MetricsSnapshot> FromJson(const std::string& json);
 };
+
+/// `s` as a JSON string literal, quotes included: `"` and `\` are
+/// backslash-escaped, \n \t \r get their short escapes and every other
+/// control character becomes \u00XX.
+std::string JsonQuote(std::string_view s);
 
 /// The process-wide registry. Get*() registers on first use and returns a
 /// reference that stays valid for the process lifetime; a (name, labels)

@@ -6,6 +6,7 @@
 #ifndef DQSQ_DATALOG_AST_H_
 #define DQSQ_DATALOG_AST_H_
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -27,9 +28,8 @@ struct RelId {
   PredicateId pred = 0;
   SymbolId peer = 0;
 
-  friend bool operator==(const RelId& a, const RelId& b) {
-    return a.pred == b.pred && a.peer == b.peer;
-  }
+  /// Orders by pred, then peer (SaveState and flush order depend on it).
+  friend auto operator<=>(const RelId&, const RelId&) = default;
 };
 
 struct RelIdHash {

@@ -68,10 +68,9 @@ std::string Database::Dump() const {
     }
     for (size_t i = 0; i < relation.size(); ++i) {
       std::string line = prefix + "(";
-      auto row = relation.Row(i);
-      for (size_t c = 0; c < row.size(); ++c) {
+      for (uint32_t c = 0; c < relation.arity(); ++c) {
         if (c > 0) line += ",";
-        line += ctx_->arena().ToString(row[c], ctx_->symbols());
+        line += ctx_->arena().ToString(relation.At(i, c), ctx_->symbols());
       }
       line += ")";
       lines.push_back(std::move(line));

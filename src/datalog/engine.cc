@@ -28,16 +28,6 @@ std::string StrategyName(Strategy strategy) {
   return "unknown";
 }
 
-void CopyFacts(const Database& src, Database& dst) {
-  for (const RelId& rel : src.Relations()) {
-    const Relation* r = src.Find(rel);
-    // Only materialize non-empty relations in dst (empty ones must stay
-    // absent: Relations() feeds SaveState, which is byte-stability pinned).
-    if (r->size() > 0) dst.GetOrCreate(rel).Reserve(r->size());
-    for (size_t i = 0; i < r->size(); ++i) dst.Insert(rel, r->Row(i));
-  }
-}
-
 size_t CountRelationFacts(const Database& db, const std::string& base) {
   const std::string prefix = base + "__";
   return db.CountFactsMatching([&](const std::string& name) {

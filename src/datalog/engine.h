@@ -44,8 +44,8 @@ struct QueryResult {
 };
 
 /// Answers `query` against `program` + the extensional facts already in
-/// `db`. Derived facts are added to `db`; pass a scratch copy when the
-/// extensional database must stay clean (see CopyFacts).
+/// `db`. Derived facts are added to `db`; load the facts into a fresh
+/// Database when the extensional one must stay clean.
 StatusOr<QueryResult> SolveQuery(const Program& program, Database& db,
                                  const ParsedQuery& query, Strategy strategy,
                                  const EvalOptions& options = {});
@@ -59,9 +59,6 @@ StatusOr<QueryResult> EvaluateRewritten(const RewriteResult& rewrite,
                                         const ParsedQuery& query,
                                         Database& db,
                                         const EvalOptions& options = {});
-
-/// Copies every fact of `src` into `dst` (both must share the context).
-void CopyFacts(const Database& src, Database& dst);
 
 /// Counts facts whose predicate is `base` or an adorned variant
 /// "base__<adornment>" — materialization of one original relation across

@@ -400,12 +400,11 @@ std::vector<Tuple> Ask(Database& db, const Atom& query, uint32_t num_vars) {
   Substitution subst(num_vars, kNoTerm);
   std::vector<VarId> trail;
   for (size_t row = 0; row < rel->size(); ++row) {
-    auto values = rel->Row(row);
     size_t mark = trail.size();
     bool ok = true;
-    for (size_t c = 0; c < query.args.size(); ++c) {
-      if (!MatchPattern(query.args[c], values[c], db.ctx().arena(), subst,
-                        trail)) {
+    for (uint32_t c = 0; c < query.args.size(); ++c) {
+      if (!MatchPattern(query.args[c], rel->At(row, c), db.ctx().arena(),
+                        subst, trail)) {
         ok = false;
         break;
       }

@@ -54,10 +54,10 @@ class QsqrEngine : public JoinHost {
         const Relation* in = db_.Find(pat.input);
         if (in == nullptr) continue;
         for (size_t row = 0; row < in->size(); ++row) {
-          // Copy the row: recursive processing can grow the input relation
-          // and reallocate the storage under the span.
-          auto r = in->Row(row);
-          row_copy.assign(r.begin(), r.end());
+          row_copy.resize(in->arity());
+          for (uint32_t c = 0; c < in->arity(); ++c) {
+            row_copy[c] = in->At(row, c);
+          }
           DQSQ_RETURN_IF_ERROR(ProcessInput(pat, row_copy));
         }
       }
@@ -88,11 +88,7 @@ class QsqrEngine : public JoinHost {
     PredicateId pred;
     SymbolId peer;
     Adornment adornment;
-    friend bool operator<(const PatternKey& a, const PatternKey& b) {
-      if (a.pred != b.pred) return a.pred < b.pred;
-      if (a.peer != b.peer) return a.peer < b.peer;
-      return a.adornment < b.adornment;
-    }
+    friend auto operator<=>(const PatternKey&, const PatternKey&) = default;
   };
   struct Pattern_ {
     RelId rel;

@@ -36,7 +36,6 @@ uint64_t Relation::MaskedHash(uint32_t row, uint32_t mask) const {
 
 void Relation::Reserve(size_t rows) {
   if (rows <= num_rows_) return;
-  row_major_.reserve(rows * arity_);
   for (auto& col : columns_) col.reserve(rows);
   dedup_.Reserve(rows);
 }

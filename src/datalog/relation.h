@@ -2,17 +2,16 @@
 // Insertion order is what makes semi-naive evaluation cheap: the delta of a
 // round is simply the suffix of rows appended since the previous round.
 //
-// The store is columnar (DESIGN.md, "Columnar relation storage"): tuples
-// live both as struct-of-arrays columns (contiguous per-column scans for
-// the join kernel) and as a row-major mirror (stable std::span row views
-// for the snapshot codec, tuple shipping and dumps). Duplicate detection is
-// a flat open-addressing table over full-tuple hashes; per-mask indices are
-// runs of ascending row ids in a shared chunk pool (datalog/columnar.h).
-// Nothing on the hot path allocates per tuple or per probe.
+// The store is columnar (DESIGN.md, "Columnar relation storage"): each
+// tuple lives once, as one cell per struct-of-arrays column (contiguous
+// per-column scans for the join kernel). Duplicate detection is a flat
+// open-addressing table over full-tuple hashes whose probe compares a
+// candidate column by column; per-mask indices are runs of ascending row
+// ids in a shared chunk pool (datalog/columnar.h). Nothing on the hot path
+// allocates per tuple or per probe.
 #ifndef DQSQ_DATALOG_RELATION_H_
 #define DQSQ_DATALOG_RELATION_H_
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -41,11 +40,9 @@ class Relation {
   bool Insert(std::span<const TermId> tuple) {
     uint64_t h = HashTermSpan(tuple);
     uint32_t row = static_cast<uint32_t>(num_rows_);
-    bool inserted = dedup_.InsertIfAbsent(h, row, [&](uint32_t r) {
-      return std::equal(tuple.begin(), tuple.end(), Row(r).begin());
-    });
+    bool inserted = dedup_.InsertIfAbsent(
+        h, row, [&](uint32_t r) { return RowEquals(r, tuple); });
     if (!inserted) return false;
-    row_major_.insert(row_major_.end(), tuple.begin(), tuple.end());
     for (uint32_t c = 0; c < arity_; ++c) columns_[c].push_back(tuple[c]);
     ++num_rows_;
     // Keep existing indices current: append the new row to its key's run
@@ -70,15 +67,17 @@ class Relation {
   bool Contains(std::span<const TermId> tuple) const {
     uint64_t h = HashTermSpan(tuple);
     return dedup_.Find(h, [&](uint32_t row) {
-             return std::equal(tuple.begin(), tuple.end(), Row(row).begin());
+             return RowEquals(row, tuple);
            }) != FlatTupleSet::kNotFound;
   }
 
-  /// Row `i` in insertion order (row-major mirror; the span stays valid
-  /// across later Inserts up to reallocation — callers that insert while
-  /// iterating must re-fetch or use At()).
-  std::span<const TermId> Row(size_t i) const {
-    return {row_major_.data() + i * arity_, arity_};
+  /// Row `i` in insertion order, gathered from the columns into a fresh
+  /// Tuple. The copy is the caller's: later Inserts do not touch it. Code
+  /// that reads single cells should use At(), which allocates nothing.
+  Tuple Row(size_t i) const {
+    Tuple t(arity_);
+    for (uint32_t c = 0; c < arity_; ++c) t[c] = columns_[c][i];
+    return t;
   }
 
   /// Column `c` of row `i` (struct-of-arrays read; safe to call while
@@ -88,7 +87,7 @@ class Relation {
   /// Column `c` as a contiguous span (invalidated by Insert).
   std::span<const TermId> Column(uint32_t c) const { return columns_[c]; }
 
-  /// Pre-sizes storage (bulk-load paths: snapshot restore, fact copying).
+  /// Pre-sizes storage (bulk-load paths such as snapshot restore).
   void Reserve(size_t rows);
 
   /// Rows whose columns selected by `mask` (bit c set = column c fixed)
@@ -140,6 +139,14 @@ class Relation {
 
   RunIndex& BuildIndex(uint32_t mask);
 
+  /// True iff row `row` equals `tuple` in every column.
+  bool RowEquals(uint32_t row, std::span<const TermId> tuple) const {
+    for (uint32_t c = 0; c < arity_; ++c) {
+      if (columns_[c][row] != tuple[c]) return false;
+    }
+    return true;
+  }
+
   /// True iff row `row`'s columns selected by `mask` equal `key`.
   bool MaskedEquals(uint32_t row, uint32_t mask,
                     std::span<const TermId> key) const;
@@ -153,7 +160,6 @@ class Relation {
   uint32_t arity_;
   size_t num_rows_ = 0;  // tracked separately so arity 0 works
   std::vector<std::vector<TermId>> columns_;  // struct-of-arrays, [c][row]
-  std::vector<TermId> row_major_;             // mirror for span row views
   FlatTupleSet dedup_;
   // Lazily built per-mask run indices; linear scan (a handful of masks per
   // relation, and a 4-entry vector beats any hash map at that size).

@@ -172,7 +172,7 @@ StatusOr<DiagnosisResult> RunDatalog(
       if (!is_trans && !is_places) continue;
       const Relation* relation = db.Find(rel);
       for (size_t row = 0; row < relation->size(); ++row) {
-        std::string term = setup.ctx.arena().ToString(relation->Row(row)[0],
+        std::string term = setup.ctx.arena().ToString(relation->At(row, 0),
                                                       setup.ctx.symbols());
         (is_trans ? events : conditions).insert(std::move(term));
       }

@@ -214,19 +214,6 @@ std::vector<std::string> RenderAnswers(const std::vector<Tuple>& answers,
   return out;
 }
 
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
 // ---- Control-plane payloads ----------------------------------------------
 // SnapshotWriter/Reader little-endian codecs; one struct per FrameType.
 
@@ -802,9 +789,9 @@ int RunSupervisor(const Args& args_in) {
   // JSON report on stdout: the cluster launcher and the CI smoke job
   // parse this.
   std::string json = "{\n";
-  json += "  \"engine\": \"" + EscapeJson(args.engine) + "\",\n";
+  json += "  \"engine\": " + JsonQuote(args.engine) + ",\n";
   json += "  \"procs\": " + std::to_string(args.procs) + ",\n";
-  json += "  \"query\": \"" + EscapeJson(args.query) + "\",\n";
+  json += "  \"query\": " + JsonQuote(args.query) + ",\n";
   json += "  \"answers\": " + std::to_string(real->answers.size()) + ",\n";
   json += "  \"total_facts\": " + std::to_string(real->total_facts) + ",\n";
   uint64_t bytes_sent = real->supervisor_stats.bytes_sent;
@@ -896,7 +883,7 @@ int RunBench(const Args& args_in) {
   json += "  \"experiment\": \"E3_realwire\",\n";
   json += "  \"params\": {";
   json += "\"workload\": \"distributed_chain\", ";
-  json += "\"query\": \"" + EscapeJson(args.query) + "\", ";
+  json += "\"query\": " + JsonQuote(args.query) + ", ";
   json += "\"procs\": " + std::to_string(args.procs) + ", ";
   json += "\"chain_peers\": " + std::to_string(args.chain_peers) + ", ";
   json += "\"chain_edges\": " + std::to_string(args.chain_edges) + ", ";

@@ -275,9 +275,7 @@ Status DatalogPeer::RunFixpointAndFlush(Network& network) {
   // Ship derived tuples of remote-owned relations to their owner (dQSQ
   // binding/answer flow and remainder-rule heads).
   std::vector<RelId> rels = db_.Relations();
-  std::sort(rels.begin(), rels.end(), [](const RelId& a, const RelId& b) {
-    return a.pred != b.pred ? a.pred < b.pred : a.peer < b.peer;
-  });
+  std::sort(rels.begin(), rels.end());
   for (const RelId& rel : rels) {
     if (rel.peer != id_) FlushRelationTo(rel, rel.peer);
   }
@@ -298,8 +296,7 @@ void DatalogPeer::FlushRelationTo(const RelId& rel, SymbolId target) {
   }
   std::vector<Tuple> tuples;
   for (size_t row = watermark; row < relation->size(); ++row) {
-    auto r = relation->Row(row);
-    Tuple t(r.begin(), r.end());
+    Tuple t = relation->Row(row);
     if (skip != nullptr && skip->contains(t)) continue;
     tuples.push_back(std::move(t));
   }
@@ -459,9 +456,7 @@ std::string DatalogPeer::SaveState() const {
   // Relations sorted by (pred, peer); rows in insertion order, which the
   // ship watermarks in shipped_ index into.
   std::vector<RelId> rels = db_.Relations();
-  std::sort(rels.begin(), rels.end(), [](const RelId& a, const RelId& b) {
-    return a.pred != b.pred ? a.pred < b.pred : a.peer < b.peer;
-  });
+  std::sort(rels.begin(), rels.end());
   w.U64(rels.size());
   for (const RelId& rel : rels) {
     EncodeRelId(rel, w);

@@ -83,12 +83,6 @@ class DatalogPeer : public PeerNode {
   size_t num_installed_rules() const { return program_.rules.size(); }
 
  private:
-  struct RelKeyLess {
-    bool operator()(const RelId& a, const RelId& b) const {
-      return a.pred != b.pred ? a.pred < b.pred : a.peer < b.peer;
-    }
-  };
-
   /// Queues the rows of `rel` not yet shipped to `target` in the outbox;
   /// the next DrainOutbox sends them as kTuples.
   void FlushRelationTo(const RelId& rel, SymbolId target);
@@ -140,22 +134,13 @@ class DatalogPeer : public PeerNode {
   Program program_;         // evaluated every fixpoint
   Program source_rules_;    // rewriting input only (dQSQ)
 
-  std::set<RelId, RelKeyLess> active_;
-  std::map<RelId, std::set<SymbolId>, RelKeyLess> subscribers_;
+  std::set<RelId> active_;
+  std::map<RelId, std::set<SymbolId>> subscribers_;
   // Ship watermark per (relation, target peer): rows below it were sent.
-  std::map<std::pair<RelId, SymbolId>,
-           size_t,
-           bool (*)(const std::pair<RelId, SymbolId>&,
-                    const std::pair<RelId, SymbolId>&)>
-      shipped_{[](const std::pair<RelId, SymbolId>& a,
-                  const std::pair<RelId, SymbolId>& b) {
-        if (a.first.pred != b.first.pred) return a.first.pred < b.first.pred;
-        if (a.first.peer != b.first.peer) return a.first.peer < b.first.peer;
-        return a.second < b.second;
-      }};
+  std::map<std::pair<RelId, SymbolId>, size_t> shipped_;
   // Rows of remote-owned relations that were received (replicas) rather
   // than derived — never shipped back to the owner.
-  std::map<RelId, std::set<Tuple>, RelKeyLess> received_;
+  std::map<RelId, std::set<Tuple>> received_;
   // Call patterns already rewritten (pred + adornment; "the same machinery
   // is reused" for repeated requests).
   std::set<std::pair<PredicateId, Adornment>> rewritten_;

@@ -7,20 +7,6 @@
 namespace dqsq {
 namespace {
 
-TEST(EngineTest, CopyFactsDuplicatesDatabase) {
-  DatalogContext ctx;
-  Database src(&ctx);
-  src.InsertByName("edge", {"a", "b"});
-  src.InsertByName("edge", {"b", "c"});
-  src.InsertByName("node", {"a"});
-  Database dst(&ctx);
-  CopyFacts(src, dst);
-  EXPECT_EQ(dst.Dump(), src.Dump());
-  // Copy into a non-empty db deduplicates.
-  CopyFacts(src, dst);
-  EXPECT_EQ(dst.TotalFacts(), 3u);
-}
-
 TEST(EngineTest, CountRelationFactsIncludesAdornedVariants) {
   DatalogContext ctx;
   Database db(&ctx);

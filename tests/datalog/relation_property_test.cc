@@ -121,8 +121,7 @@ void RunCase(uint64_t seed, uint32_t arity, uint64_t domain, size_t ops) {
   // Final state: same rows in the same order.
   ASSERT_EQ(columnar.size(), reference.size()) << "seed=" << seed;
   for (size_t i = 0; i < reference.size(); ++i) {
-    std::span<const TermId> row = columnar.Row(i);
-    ASSERT_EQ(Tuple(row.begin(), row.end()), reference.Row(i))
+    ASSERT_EQ(columnar.Row(i), reference.Row(i))
         << "seed=" << seed << " row=" << i;
     for (uint32_t c = 0; c < arity; ++c) {
       ASSERT_EQ(columnar.At(i, c), reference.Row(i)[c]);

@@ -52,6 +52,21 @@ TEST(RelationTest, ColumnarAccessorsMirrorRows) {
   }
 }
 
+TEST(RelationTest, RowCopySurvivesReallocatingInserts) {
+  Relation rel(3);
+  rel.Insert(std::vector<TermId>{7, 8, 9});
+  const Tuple copy = rel.Row(0);
+  const TermId* column0 = rel.Column(0).data();
+  // Far past any initial capacity, so every column reallocates.
+  for (TermId t = 100; t < 5100; ++t) {
+    rel.Insert(std::vector<TermId>{t, t + 1, t + 2});
+  }
+  ASSERT_NE(rel.Column(0).data(), column0);
+  EXPECT_EQ(copy, (Tuple{7, 8, 9}));
+  EXPECT_EQ(copy, rel.Row(0));
+  for (uint32_t c = 0; c < rel.arity(); ++c) EXPECT_EQ(copy[c], rel.At(0, c));
+}
+
 TEST(RelationTest, ProbeByMask) {
   Relation rel(2);
   rel.Insert(std::vector<TermId>{1, 10});

@@ -60,7 +60,7 @@ struct EncodedEval {
     const Relation* rel = db->Find(RelId{pid, psym});
     if (rel == nullptr) return false;
     for (size_t row = 0; row < rel->size(); ++row) {
-      auto r = rel->Row(row);
+      Tuple r = rel->Row(row);
       if (ctx.arena().ToString(r[0], ctx.symbols()) == arg1 &&
           ctx.arena().ToString(r[1], ctx.symbols()) == arg2) {
         return true;
