@@ -120,6 +120,40 @@ TEST(NegationTest, StratifyComputesLevels) {
   EXPECT_GE((*strata)[4], 2u);  // t
 }
 
+TEST(NegationTest, PositiveProgramIsOneStratum) {
+  DatalogContext ctx;
+  auto positive = ParseProgram(R"(
+    edge(a, b).
+    path(X, Y) :- edge(X, Y).
+    path(X, Y) :- path(X, Z), edge(Z, Y).
+    far(X) :- path(a, X), X != b.
+  )",
+                               ctx);
+  ASSERT_TRUE(positive.ok()) << positive.status().ToString();
+  auto strata = StratifyProgram(*positive, ctx);
+  ASSERT_TRUE(strata.ok()) << strata.status().ToString();
+  EXPECT_EQ(*strata, (std::vector<uint32_t>{0, 0, 0, 0}));
+
+  Program empty;
+  auto none = StratifyProgram(empty, ctx);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+
+  // The program of StratifyComputesLevels keeps its exact strata.
+  auto stratified = ParseProgram(R"(
+    base(a).
+    p(X) :- base(X).
+    q(X) :- base(X), not p(X).
+    s(X) :- q(X), not p(X).
+    t(X) :- s(X), not q(X).
+  )",
+                                 ctx);
+  ASSERT_TRUE(stratified.ok());
+  auto levels = StratifyProgram(*stratified, ctx);
+  ASSERT_TRUE(levels.ok()) << levels.status().ToString();
+  EXPECT_EQ(*levels, (std::vector<uint32_t>{0, 0, 1, 1, 2}));
+}
+
 TEST(NegationTest, GroundNegatedFactRule) {
   DatalogContext ctx;
   auto answers = RunQueryStrings(ctx, R"(

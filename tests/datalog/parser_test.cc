@@ -80,6 +80,79 @@ TEST(ParserTest, RejectsNonRangeRestrictedRule) {
   EXPECT_EQ(program.status().code(), StatusCode::kInvalidArgument);
 }
 
+// ValidateProgram's rejections, one per check. Arity and slot errors
+// cannot come out of the parser (it aborts on an arity clash and numbers
+// slots itself), so those programs are built by hand.
+void ExpectRejected(const Status& status, const std::string& prefix) {
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(status.message().substr(0, prefix.size()), prefix);
+}
+
+Rule UnaryRule(DatalogContext& ctx, uint32_t num_vars) {
+  Rule rule;
+  rule.head = Atom{RelId{ctx.InternPredicate("h", 1), ctx.local_peer()},
+                   {Pattern::Var(0)}};
+  rule.body.push_back(
+      Atom{RelId{ctx.InternPredicate("b", 1), ctx.local_peer()},
+           {Pattern::Var(0)}});
+  rule.num_vars = num_vars;
+  rule.var_names = {"X", "Y"};
+  rule.var_names.resize(num_vars);
+  return rule;
+}
+
+TEST(ParserTest, ValidateRejectsArityMismatch) {
+  DatalogContext ctx;
+  Program program;
+  program.rules.push_back(UnaryRule(ctx, 1));
+  program.rules[0].body[0].args.push_back(Pattern::Var(0));
+  ExpectRejected(ValidateProgram(program, ctx),
+                 "arity mismatch in atom of predicate b");
+}
+
+TEST(ParserTest, ValidateRejectsVariableSlotOutOfRange) {
+  DatalogContext ctx;
+  Program program;
+  program.rules.push_back(UnaryRule(ctx, 1));
+  program.rules[0].body[0].args[0] = Pattern::Var(1);
+  ExpectRejected(ValidateProgram(program, ctx),
+                 "variable slot out of range in rule ");
+}
+
+TEST(ParserTest, ValidateRejectsHeadVariableNotInBody) {
+  DatalogContext ctx;
+  Program program;
+  program.rules.push_back(UnaryRule(ctx, 2));
+  program.rules[0].head.args[0] = Pattern::Var(1);
+  ExpectRejected(ValidateProgram(program, ctx),
+                 "rule is not range-restricted (head variable not in "
+                 "body): h(Y) :- b(X).");
+  ExpectRejected(ParseProgram("head(X, Y) :- body(X).", ctx).status(),
+                 "rule is not range-restricted (head variable not in body)");
+}
+
+TEST(ParserTest, ValidateRejectsUnsafeNegation) {
+  DatalogContext ctx;
+  ExpectRejected(
+      ParseProgram("p(X) :- node(X), not edge(X, Y).", ctx).status(),
+      "negated atom uses a variable not bound by the positive body (unsafe "
+      "negation): p(X) :- node(X), not edge(X,Y).");
+}
+
+TEST(ParserTest, ValidateRejectsUnboundDisequalityVariable) {
+  DatalogContext ctx;
+  ExpectRejected(ParseProgram("p(X) :- node(X), X != Y.", ctx).status(),
+                 "disequality uses a variable not bound by the body: "
+                 "p(X) :- node(X), X != Y.");
+  // A slot past num_vars in a disequality is unbound, not out of range:
+  // only atoms are range-checked.
+  Program program;
+  program.rules.push_back(UnaryRule(ctx, 1));
+  program.rules[0].diseqs.push_back(Diseq{Pattern::Var(0), Pattern::Var(5)});
+  ExpectRejected(ValidateProgram(program, ctx),
+                 "disequality uses a variable not bound by the body: ");
+}
+
 TEST(ParserTest, RejectsVariablePeer) {
   DatalogContext ctx;
   // Peer names must be constants (paper §3, unlike reference [32]).

@@ -160,6 +160,144 @@ TEST(QsqTest, RewriteStructureMatchesFigure4) {
   EXPECT_TRUE(ctx.LookupPredicate("t__bf", &pred));
 }
 
+// The Figure 3 rules plus a rule with three disequalities: a ground one
+// (attached to sup_0), one bound after the first body atom, and one bound
+// only by the last atom (attached to the final sup).
+std::string GoldenRewriteText(bool project_relevant_vars,
+                              bool distribute_sups) {
+  DatalogContext ctx;
+  auto program = ParseProgram(R"(
+    r@r(X, Y) :- a@r(X, Y).
+    r@r(X, Y) :- s@s(X, Z), t@t(Z, Y).
+    s@s(X, Y) :- r@r(X, Y), b@s(Y, Z).
+    t@t(X, Y) :- c@t(X, Y).
+    r@r(X, Y) :- a@r(X, Z), s@s(Z, W), c@t(W, Y), u != v, Z != X, Y != W.
+  )",
+                              ctx);
+  DQSQ_CHECK_OK(program.status());
+  auto q = ParseQuery("r@r(\"1\", Y)", ctx);
+  DQSQ_CHECK_OK(q.status());
+  auto adorned = AdornProgram(*program, q->atom.rel, QueryAdornment(q->atom));
+  DQSQ_CHECK_OK(adorned.status());
+  QsqOptions opts;
+  opts.project_relevant_vars = project_relevant_vars;
+  opts.distribute_sups = distribute_sups;
+  auto rewrite = QsqRewrite(*adorned, q->atom.rel, QueryAdornment(q->atom),
+                            ctx, opts);
+  DQSQ_CHECK_OK(rewrite.status());
+  return ProgramToString(rewrite->program, ctx);
+}
+
+// Golden text of the rewrite under all four option combinations. Rule
+// order, sup schemas and disequality placement are all pinned, so a
+// faster rewrite must reproduce its predecessor byte for byte.
+TEST(QsqTest, RewriteTextIsPinned) {
+  EXPECT_EQ(GoldenRewriteText(/*project_relevant_vars=*/true,
+                              /*distribute_sups=*/true),
+            R"(sup__r0__bf__0@r(X) :- in__r__bf@r(X).
+sup__r0__bf__1@r(X,Y) :- sup__r0__bf__0@r(X), a@r(X,Y).
+r__bf@r(X,Y) :- sup__r0__bf__1@r(X,Y).
+sup__r1__bf__0@s(X) :- in__r__bf@r(X).
+in__s__bf@s(X) :- sup__r1__bf__0@s(X).
+sup__r1__bf__1@t(X,Z) :- sup__r1__bf__0@s(X), s__bf@s(X,Z).
+in__t__bf@t(Z) :- sup__r1__bf__1@t(X,Z).
+sup__r1__bf__2@r(X,Y) :- sup__r1__bf__1@t(X,Z), t__bf@t(Z,Y).
+r__bf@r(X,Y) :- sup__r1__bf__2@r(X,Y).
+sup__r4__bf__0@r(X) :- in__r__bf@r(X), u != v.
+sup__r4__bf__1@s(X,Z) :- sup__r4__bf__0@r(X), a@r(X,Z), Z != X.
+in__s__bf@s(Z) :- sup__r4__bf__1@s(X,Z).
+sup__r4__bf__2@t(X,W) :- sup__r4__bf__1@s(X,Z), s__bf@s(Z,W).
+sup__r4__bf__3@r(X,Y,W) :- sup__r4__bf__2@t(X,W), c@t(W,Y), Y != W.
+r__bf@r(X,Y) :- sup__r4__bf__3@r(X,Y,W).
+sup__r2__bf__0@r(X) :- in__s__bf@s(X).
+in__r__bf@r(X) :- sup__r2__bf__0@r(X).
+sup__r2__bf__1@s(X,Y) :- sup__r2__bf__0@r(X), r__bf@r(X,Y).
+sup__r2__bf__2@s(X,Y) :- sup__r2__bf__1@s(X,Y), b@s(Y,Z).
+s__bf@s(X,Y) :- sup__r2__bf__2@s(X,Y).
+sup__r3__bf__0@t(X) :- in__t__bf@t(X).
+sup__r3__bf__1@t(X,Y) :- sup__r3__bf__0@t(X), c@t(X,Y).
+t__bf@t(X,Y) :- sup__r3__bf__1@t(X,Y).
+)");
+  EXPECT_EQ(GoldenRewriteText(/*project_relevant_vars=*/true,
+                              /*distribute_sups=*/false),
+            R"(sup__r0__bf__0@r(X) :- in__r__bf@r(X).
+sup__r0__bf__1@r(X,Y) :- sup__r0__bf__0@r(X), a@r(X,Y).
+r__bf@r(X,Y) :- sup__r0__bf__1@r(X,Y).
+sup__r1__bf__0@r(X) :- in__r__bf@r(X).
+in__s__bf@s(X) :- sup__r1__bf__0@r(X).
+sup__r1__bf__1@r(X,Z) :- sup__r1__bf__0@r(X), s__bf@s(X,Z).
+in__t__bf@t(Z) :- sup__r1__bf__1@r(X,Z).
+sup__r1__bf__2@r(X,Y) :- sup__r1__bf__1@r(X,Z), t__bf@t(Z,Y).
+r__bf@r(X,Y) :- sup__r1__bf__2@r(X,Y).
+sup__r4__bf__0@r(X) :- in__r__bf@r(X), u != v.
+sup__r4__bf__1@r(X,Z) :- sup__r4__bf__0@r(X), a@r(X,Z), Z != X.
+in__s__bf@s(Z) :- sup__r4__bf__1@r(X,Z).
+sup__r4__bf__2@r(X,W) :- sup__r4__bf__1@r(X,Z), s__bf@s(Z,W).
+sup__r4__bf__3@r(X,Y,W) :- sup__r4__bf__2@r(X,W), c@t(W,Y), Y != W.
+r__bf@r(X,Y) :- sup__r4__bf__3@r(X,Y,W).
+sup__r2__bf__0@s(X) :- in__s__bf@s(X).
+in__r__bf@r(X) :- sup__r2__bf__0@s(X).
+sup__r2__bf__1@s(X,Y) :- sup__r2__bf__0@s(X), r__bf@r(X,Y).
+sup__r2__bf__2@s(X,Y) :- sup__r2__bf__1@s(X,Y), b@s(Y,Z).
+s__bf@s(X,Y) :- sup__r2__bf__2@s(X,Y).
+sup__r3__bf__0@t(X) :- in__t__bf@t(X).
+sup__r3__bf__1@t(X,Y) :- sup__r3__bf__0@t(X), c@t(X,Y).
+t__bf@t(X,Y) :- sup__r3__bf__1@t(X,Y).
+)");
+  EXPECT_EQ(GoldenRewriteText(/*project_relevant_vars=*/false,
+                              /*distribute_sups=*/true),
+            R"(supall__r0__bf__0@r(X) :- in__r__bf@r(X).
+supall__r0__bf__1@r(X,Y) :- supall__r0__bf__0@r(X), a@r(X,Y).
+r__bf@r(X,Y) :- supall__r0__bf__1@r(X,Y).
+supall__r1__bf__0@s(X) :- in__r__bf@r(X).
+in__s__bf@s(X) :- supall__r1__bf__0@s(X).
+supall__r1__bf__1@t(X,Z) :- supall__r1__bf__0@s(X), s__bf@s(X,Z).
+in__t__bf@t(Z) :- supall__r1__bf__1@t(X,Z).
+supall__r1__bf__2@r(X,Y,Z) :- supall__r1__bf__1@t(X,Z), t__bf@t(Z,Y).
+r__bf@r(X,Y) :- supall__r1__bf__2@r(X,Y,Z).
+supall__r4__bf__0@r(X) :- in__r__bf@r(X), u != v.
+supall__r4__bf__1@s(X,Z) :- supall__r4__bf__0@r(X), a@r(X,Z), Z != X.
+in__s__bf@s(Z) :- supall__r4__bf__1@s(X,Z).
+supall__r4__bf__2@t(X,Z,W) :- supall__r4__bf__1@s(X,Z), s__bf@s(Z,W).
+supall__r4__bf__3@r(X,Y,Z,W) :- supall__r4__bf__2@t(X,Z,W), c@t(W,Y), Y != W.
+r__bf@r(X,Y) :- supall__r4__bf__3@r(X,Y,Z,W).
+supall__r2__bf__0@r(X) :- in__s__bf@s(X).
+in__r__bf@r(X) :- supall__r2__bf__0@r(X).
+supall__r2__bf__1@s(X,Y) :- supall__r2__bf__0@r(X), r__bf@r(X,Y).
+supall__r2__bf__2@s(X,Y,Z) :- supall__r2__bf__1@s(X,Y), b@s(Y,Z).
+s__bf@s(X,Y) :- supall__r2__bf__2@s(X,Y,Z).
+supall__r3__bf__0@t(X) :- in__t__bf@t(X).
+supall__r3__bf__1@t(X,Y) :- supall__r3__bf__0@t(X), c@t(X,Y).
+t__bf@t(X,Y) :- supall__r3__bf__1@t(X,Y).
+)");
+  EXPECT_EQ(GoldenRewriteText(/*project_relevant_vars=*/false,
+                              /*distribute_sups=*/false),
+            R"(supall__r0__bf__0@r(X) :- in__r__bf@r(X).
+supall__r0__bf__1@r(X,Y) :- supall__r0__bf__0@r(X), a@r(X,Y).
+r__bf@r(X,Y) :- supall__r0__bf__1@r(X,Y).
+supall__r1__bf__0@r(X) :- in__r__bf@r(X).
+in__s__bf@s(X) :- supall__r1__bf__0@r(X).
+supall__r1__bf__1@r(X,Z) :- supall__r1__bf__0@r(X), s__bf@s(X,Z).
+in__t__bf@t(Z) :- supall__r1__bf__1@r(X,Z).
+supall__r1__bf__2@r(X,Y,Z) :- supall__r1__bf__1@r(X,Z), t__bf@t(Z,Y).
+r__bf@r(X,Y) :- supall__r1__bf__2@r(X,Y,Z).
+supall__r4__bf__0@r(X) :- in__r__bf@r(X), u != v.
+supall__r4__bf__1@r(X,Z) :- supall__r4__bf__0@r(X), a@r(X,Z), Z != X.
+in__s__bf@s(Z) :- supall__r4__bf__1@r(X,Z).
+supall__r4__bf__2@r(X,Z,W) :- supall__r4__bf__1@r(X,Z), s__bf@s(Z,W).
+supall__r4__bf__3@r(X,Y,Z,W) :- supall__r4__bf__2@r(X,Z,W), c@t(W,Y), Y != W.
+r__bf@r(X,Y) :- supall__r4__bf__3@r(X,Y,Z,W).
+supall__r2__bf__0@s(X) :- in__s__bf@s(X).
+in__r__bf@r(X) :- supall__r2__bf__0@s(X).
+supall__r2__bf__1@s(X,Y) :- supall__r2__bf__0@s(X), r__bf@r(X,Y).
+supall__r2__bf__2@s(X,Y,Z) :- supall__r2__bf__1@s(X,Y), b@s(Y,Z).
+s__bf@s(X,Y) :- supall__r2__bf__2@s(X,Y,Z).
+supall__r3__bf__0@t(X) :- in__t__bf@t(X).
+supall__r3__bf__1@t(X,Y) :- supall__r3__bf__0@t(X), c@t(X,Y).
+t__bf@t(X,Y) :- supall__r3__bf__1@t(X,Y).
+)");
+}
+
 TEST(QsqTest, DistributedPlacementMatchesFigure5) {
   // In the dQSQ placement, sup_{r,j} lives at the peer of body atom j so
   // every rewritten rule reads relations of exactly one peer (Fig. 5: only
