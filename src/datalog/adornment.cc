@@ -18,8 +18,9 @@ std::string AdornmentSuffix(const Adornment& adornment) {
 Adornment AdornAtom(const Atom& atom, const std::vector<bool>& bound_vars) {
   Adornment out;
   out.reserve(atom.args.size());
+  std::vector<VarId> vars;
   for (const Pattern& p : atom.args) {
-    std::vector<VarId> vars;
+    vars.clear();
     p.CollectVars(&vars);
     bool bound = true;
     for (VarId v : vars) {
@@ -72,6 +73,9 @@ StatusOr<AdornedProgram> AdornProgram(const Program& program,
   }
   enqueue(query_rel, query_adornment);
 
+  // Reused across rules.
+  std::vector<bool> bound_vars;
+  std::vector<VarId> vars;
   while (!worklist.empty()) {
     auto [rel, adornment] = worklist.front();
     worklist.pop_front();
@@ -83,12 +87,14 @@ StatusOr<AdornedProgram> AdornProgram(const Program& program,
       ar.rule = &rule;
       ar.rule_index = rule_index;
       ar.head_adornment = adornment;
+      ar.body_adornments.reserve(rule.body.size());
+      ar.body_is_idb.reserve(rule.body.size());
 
       // Variables in bound head positions start out bound.
-      std::vector<bool> bound_vars(rule.num_vars, false);
+      bound_vars.assign(rule.num_vars, false);
       for (size_t i = 0; i < rule.head.args.size(); ++i) {
         if (!adornment[i]) continue;
-        std::vector<VarId> vars;
+        vars.clear();
         rule.head.args[i].CollectVars(&vars);
         for (VarId v : vars) bound_vars[v] = true;
       }
@@ -98,10 +104,10 @@ StatusOr<AdornedProgram> AdornProgram(const Program& program,
       for (const Atom& atom : rule.body) {
         Adornment a = AdornAtom(atom, bound_vars);
         bool idb = is_idb(atom.rel);
-        ar.body_adornments.push_back(a);
-        ar.body_is_idb.push_back(idb);
         if (idb) enqueue(atom.rel, a);
-        std::vector<VarId> vars;
+        ar.body_adornments.push_back(std::move(a));
+        ar.body_is_idb.push_back(idb);
+        vars.clear();
         for (const Pattern& p : atom.args) p.CollectVars(&vars);
         for (VarId v : vars) bound_vars[v] = true;
       }

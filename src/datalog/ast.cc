@@ -108,14 +108,18 @@ void CollectAtomVars(const Atom& atom, std::vector<VarId>* vars) {
 }  // namespace
 
 Status ValidateProgram(const Program& program, const DatalogContext& ctx) {
+  // One variable buffer and one body-variable bitmap serve every rule.
+  std::vector<VarId> vars;
+  std::vector<char> in_body;
   for (const Rule& rule : program.rules) {
+    // Checks `atom` and leaves its variables in `vars`.
     auto check_atom = [&](const Atom& atom) -> Status {
       if (atom.args.size() != ctx.PredicateArity(atom.rel.pred)) {
         return InvalidArgumentError(
             "arity mismatch in atom of predicate " +
             ctx.PredicateName(atom.rel.pred));
       }
-      std::vector<VarId> vars;
+      vars.clear();
       CollectAtomVars(atom, &vars);
       for (VarId v : vars) {
         if (v >= rule.num_vars) {
@@ -125,18 +129,20 @@ Status ValidateProgram(const Program& program, const DatalogContext& ctx) {
       }
       return Status::Ok();
     };
+    // Disequality operands are not range-checked, so test the slot first.
+    auto bound_by_body = [&](VarId v) {
+      return v < in_body.size() && in_body[v] != 0;
+    };
     DQSQ_RETURN_IF_ERROR(check_atom(rule.head));
-    std::unordered_set<VarId> body_vars;
+    in_body.assign(rule.num_vars, 0);
     for (const Atom& a : rule.body) {
       DQSQ_RETURN_IF_ERROR(check_atom(a));
-      std::vector<VarId> vars;
-      CollectAtomVars(a, &vars);
-      body_vars.insert(vars.begin(), vars.end());
+      for (VarId v : vars) in_body[v] = 1;
     }
-    std::vector<VarId> head_vars;
-    CollectAtomVars(rule.head, &head_vars);
-    for (VarId v : head_vars) {
-      if (!body_vars.contains(v)) {
+    vars.clear();
+    CollectAtomVars(rule.head, &vars);
+    for (VarId v : vars) {
+      if (!bound_by_body(v)) {
         return InvalidArgumentError(
             "rule is not range-restricted (head variable not in body): " +
             RuleToString(rule, ctx));
@@ -144,10 +150,8 @@ Status ValidateProgram(const Program& program, const DatalogContext& ctx) {
     }
     for (const Atom& a : rule.negative) {
       DQSQ_RETURN_IF_ERROR(check_atom(a));
-      std::vector<VarId> vars;
-      CollectAtomVars(a, &vars);
       for (VarId v : vars) {
-        if (!body_vars.contains(v)) {
+        if (!bound_by_body(v)) {
           return InvalidArgumentError(
               "negated atom uses a variable not bound by the positive "
               "body (unsafe negation): " +
@@ -156,11 +160,11 @@ Status ValidateProgram(const Program& program, const DatalogContext& ctx) {
       }
     }
     for (const Diseq& d : rule.diseqs) {
-      std::vector<VarId> vars;
+      vars.clear();
       d.lhs.CollectVars(&vars);
       d.rhs.CollectVars(&vars);
       for (VarId v : vars) {
-        if (!body_vars.contains(v)) {
+        if (!bound_by_body(v)) {
           return InvalidArgumentError(
               "disequality uses a variable not bound by the body: " +
               RuleToString(rule, ctx));
@@ -173,6 +177,11 @@ Status ValidateProgram(const Program& program, const DatalogContext& ctx) {
 
 StatusOr<std::vector<uint32_t>> StratifyProgram(const Program& program,
                                                 const DatalogContext& ctx) {
+  // Without negation every dependency is satisfied at stratum 0.
+  if (std::all_of(program.rules.begin(), program.rules.end(),
+                  [](const Rule& rule) { return rule.negative.empty(); })) {
+    return std::vector<uint32_t>(program.rules.size(), 0);
+  }
   // Relation-level strata computed by iterated relaxation:
   //   stratum(head) >= stratum(positive body relation)
   //   stratum(head) >= stratum(negated body relation) + 1

@@ -1,5 +1,8 @@
 #include "datalog/join_kernel.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/logging.h"
 
 namespace dqsq {
@@ -9,25 +12,28 @@ RulePlan CompileRulePlan(const Rule& rule, std::span<const VarId> initial_bound,
   RulePlan plan;
   plan.rule = &rule;
   plan.atoms.reserve(rule.body.size());
-  // bound[v]: v is bound before the atom under compilation begins.
-  std::vector<char> bound(rule.num_vars, 0);
-  for (VarId v : initial_bound) bound[v] = 1;
+  // bound_at[v]: 0 if v is bound before the body, i + 1 if body atom i
+  // binds it first, kUnbound if nothing has bound it yet. While atom i
+  // compiles, bound_at[v] <= i means bound before the atom and i + 1 means
+  // bound by an earlier column of it (a duplicate occurrence checks
+  // instead of binding).
+  constexpr uint32_t kUnbound = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> bound_at(rule.num_vars, kUnbound);
+  for (VarId v : initial_bound) bound_at[v] = 0;
   Substitution empty_subst;
   std::vector<VarId> vars;
-  for (const Atom& atom : rule.body) {
+  for (uint32_t i = 0; i < rule.body.size(); ++i) {
+    const Atom& atom = rule.body[i];
     AtomPlan ap;
     ap.atom = &atom;
     const size_t ncols = atom.args.size();
     ap.adornment.reserve(ncols);
-    // in_atom additionally tracks variables bound by earlier columns of
-    // this same atom (a duplicate occurrence checks instead of binding).
-    std::vector<char> in_atom = bound;
     for (uint32_t c = 0; c < ncols; ++c) {
       const Pattern& p = atom.args[c];
       vars.clear();
       p.CollectVars(&vars);
       bool bound_before = true;
-      for (VarId v : vars) bound_before = bound_before && bound[v];
+      for (VarId v : vars) bound_before = bound_before && bound_at[v] <= i;
       ColStep step;
       step.col = c;
       if (bound_before) {
@@ -45,8 +51,8 @@ RulePlan CompileRulePlan(const Rule& rule, std::span<const VarId> initial_bound,
         ap.adornment.push_back(true);
       } else {
         if (p.kind() == Pattern::Kind::kVar) {
-          step.kind = in_atom[p.var()] ? ColStep::Kind::kCheckVar
-                                       : ColStep::Kind::kBind;
+          step.kind = bound_at[p.var()] != kUnbound ? ColStep::Kind::kCheckVar
+                                                    : ColStep::Kind::kBind;
           step.var = p.var();
         } else {
           step.kind = ColStep::Kind::kMatch;
@@ -55,13 +61,12 @@ RulePlan CompileRulePlan(const Rule& rule, std::span<const VarId> initial_bound,
         ap.row_steps.push_back(step);
         ap.adornment.push_back(false);
       }
-      for (VarId v : vars) in_atom[v] = 1;
+      for (VarId v : vars) bound_at[v] = std::min(bound_at[v], i + 1);
     }
     if (ncols <= 32) {
       for (const ColStep& s : ap.key_steps) ap.probe_mask |= 1u << s.col;
     }
     plan.atoms.push_back(std::move(ap));
-    bound = std::move(in_atom);  // after the atom, all its variables bind
   }
   return plan;
 }

@@ -1,41 +1,51 @@
 #include "datalog/qsq_rewrite.h"
 
 #include <algorithm>
-#include <set>
+#include <limits>
+#include <map>
+#include <optional>
 
-#include "common/logging.h"
 #include "common/metrics.h"
 
 namespace dqsq {
 
 namespace {
 
-std::vector<VarId> SortedVars(const std::set<VarId>& vars) {
-  return std::vector<VarId>(vars.begin(), vars.end());
-}
-
-void CollectAtomVars(const Atom& atom, std::set<VarId>* out) {
-  std::vector<VarId> vars;
-  for (const Pattern& p : atom.args) p.CollectVars(&vars);
-  out->insert(vars.begin(), vars.end());
-}
-
-std::vector<Pattern> VarPatterns(const std::vector<VarId>& vars) {
-  std::vector<Pattern> out;
-  out.reserve(vars.size());
-  for (VarId v : vars) out.push_back(Pattern::Var(v));
-  return out;
-}
+constexpr uint32_t kNeverBound = std::numeric_limits<uint32_t>::max();
 
 /// Patterns at the bound positions of `atom` under `adornment`.
 std::vector<Pattern> BoundArgPatterns(const Atom& atom,
                                       const Adornment& adornment) {
   std::vector<Pattern> out;
+  out.reserve(std::count(adornment.begin(), adornment.end(), true));
   for (size_t i = 0; i < atom.args.size(); ++i) {
     if (adornment[i]) out.push_back(atom.args[i]);
   }
   return out;
 }
+
+/// Sup positions of one adorned rule's variables; the buffers are reused
+/// across rules. first_bound[v] is the first sup position whose bindings
+/// include v (0 for a bound head argument, j + 1 after body atom j), or
+/// kNeverBound. needed_until[v] is one past the last sup position that
+/// needs v, by a body atom at or after it, the head, or a disequality
+/// attached there; 0 if none does.
+struct VarPositions {
+  std::vector<uint32_t> first_bound;
+  std::vector<uint32_t> needed_until;
+  std::vector<VarId> vars;  // the variables collected since the last clear
+
+  void Reset(uint32_t num_vars) {
+    first_bound.assign(num_vars, kNeverBound);
+    needed_until.assign(num_vars, 0);
+  }
+  void BoundAt(uint32_t pos) {
+    for (VarId v : vars) first_bound[v] = std::min(first_bound[v], pos);
+  }
+  void NeededAt(uint32_t pos) {
+    for (VarId v : vars) needed_until[v] = std::max(needed_until[v], pos + 1);
+  }
+};
 
 }  // namespace
 
@@ -55,166 +65,177 @@ StatusOr<RewriteResult> QsqRewrite(const AdornedProgram& adorned,
   RewriteResult result;
   result.query_adornment = query_adornment;
 
+  // Input and answer relations per call pattern, each named and interned
+  // once, on first use (interning order fixes the predicate ids). Keys
+  // point at adornments owned by `adorned` or the caller.
+  struct CallKey {
+    RelId rel;
+    const Adornment* adornment;
+  };
+  struct CallKeyLess {
+    bool operator()(const CallKey& a, const CallKey& b) const {
+      if (a.rel != b.rel) return a.rel < b.rel;
+      return *a.adornment < *b.adornment;
+    }
+  };
+  struct CallRels {
+    std::optional<RelId> input;
+    std::optional<RelId> answer;
+  };
+  std::map<CallKey, CallRels, CallKeyLess> calls;
   auto input_rel = [&](const RelId& rel, const Adornment& a) {
-    uint32_t bound = static_cast<uint32_t>(
-        std::count(a.begin(), a.end(), true));
-    PredicateId pred = ctx.InternPredicate(
-        InputPredName(ctx.PredicateName(rel.pred), a), bound);
-    return RelId{pred, rel.peer};
+    std::optional<RelId>& input = calls[CallKey{rel, &a}].input;
+    if (!input.has_value()) {
+      uint32_t bound =
+          static_cast<uint32_t>(std::count(a.begin(), a.end(), true));
+      input = RelId{ctx.InternPredicate(
+                        InputPredName(ctx.PredicateName(rel.pred), a), bound),
+                    rel.peer};
+    }
+    return *input;
   };
   auto answer_rel = [&](const RelId& rel, const Adornment& a) {
-    PredicateId pred = ctx.InternPredicate(
-        AnswerPredName(ctx.PredicateName(rel.pred), a),
-        ctx.PredicateArity(rel.pred));
-    return RelId{pred, rel.peer};
+    std::optional<RelId>& answer = calls[CallKey{rel, &a}].answer;
+    if (!answer.has_value()) {
+      answer = RelId{
+          ctx.InternPredicate(AnswerPredName(ctx.PredicateName(rel.pred), a),
+                              ctx.PredicateArity(rel.pred)),
+          rel.peer};
+    }
+    return *answer;
   };
 
   result.answer_rel = answer_rel(query_rel, query_adornment);
   result.input_rel = input_rel(query_rel, query_adornment);
 
+  // Per adorned rule: A, then B (IDB atoms only) and C per body atom, then
+  // D.
+  size_t num_rules = 0;
+  for (const AdornedRule& ar : adorned.rules) {
+    num_rules += ar.rule->body.size() + 2;
+    num_rules += std::count(ar.body_is_idb.begin(), ar.body_is_idb.end(), true);
+  }
+  std::vector<Rule>& rules = result.program.rules;
+  rules.reserve(num_rules);
+
+  const std::string tag =
+      options.sup_prefix + (options.project_relevant_vars ? "sup" : "supall");
+  VarPositions pos;
+  std::vector<uint32_t> diseq_pos;
+  std::vector<RelId> sup_rels;
+  std::string sup_name;
   size_t sup_relations = 0;
   for (const AdornedRule& ar : adorned.rules) {
     const Rule& rule = *ar.rule;
-    const size_t n = rule.body.size();
-    const SymbolId head_peer = rule.head.rel.peer;
+    const uint32_t n = static_cast<uint32_t>(rule.body.size());
     sup_relations += n + 1;
 
-    // bound_after[j]: variables bound before consuming body atom j
-    // (j = n means after the whole body).
-    std::vector<std::set<VarId>> bound_after(n + 1);
+    pos.Reset(rule.num_vars);
+    pos.vars.clear();
     for (size_t i = 0; i < rule.head.args.size(); ++i) {
-      if (!ar.head_adornment[i]) continue;
-      std::vector<VarId> vars;
-      rule.head.args[i].CollectVars(&vars);
-      bound_after[0].insert(vars.begin(), vars.end());
+      if (ar.head_adornment[i]) rule.head.args[i].CollectVars(&pos.vars);
     }
-    for (size_t j = 0; j < n; ++j) {
-      bound_after[j + 1] = bound_after[j];
-      CollectAtomVars(rule.body[j], &bound_after[j + 1]);
+    pos.BoundAt(0);
+    for (uint32_t j = 0; j < n; ++j) {
+      pos.vars.clear();
+      for (const Pattern& p : rule.body[j].args) p.CollectVars(&pos.vars);
+      pos.BoundAt(j + 1);
+      pos.NeededAt(j);
     }
-
-    // Attach each disequality to the earliest sup position where both
-    // operands are bound.
-    std::vector<std::vector<const Diseq*>> attached(n + 1);
+    pos.vars.clear();
+    for (const Pattern& p : rule.head.args) p.CollectVars(&pos.vars);
+    pos.NeededAt(n);
+    // Each disequality attaches to the earliest sup position where all its
+    // variables are bound, or to the last one if some variable never is.
+    diseq_pos.clear();
     for (const Diseq& d : rule.diseqs) {
-      std::vector<VarId> vars;
-      d.lhs.CollectVars(&vars);
-      d.rhs.CollectVars(&vars);
-      size_t pos = n;
-      for (size_t j = 0; j <= n; ++j) {
-        bool all_bound = true;
-        for (VarId v : vars) {
-          if (!bound_after[j].contains(v)) {
-            all_bound = false;
-            break;
-          }
-        }
-        if (all_bound) {
-          pos = j;
-          break;
-        }
-      }
-      attached[pos].push_back(&d);
+      pos.vars.clear();
+      d.lhs.CollectVars(&pos.vars);
+      d.rhs.CollectVars(&pos.vars);
+      uint32_t at = 0;
+      for (VarId v : pos.vars) at = std::max(at, pos.first_bound[v]);
+      at = std::min(at, n);
+      diseq_pos.push_back(at);
+      pos.NeededAt(at);
     }
 
-    // needed_after[j]: variables required at or after sup position j —
-    // by later atoms, by the head, or by diseqs attached later.
-    std::vector<std::set<VarId>> needed_after(n + 1);
-    CollectAtomVars(rule.head, &needed_after[n]);
-    for (const Diseq* d : attached[n]) {
-      std::vector<VarId> vars;
-      d->lhs.CollectVars(&vars);
-      d->rhs.CollectVars(&vars);
-      needed_after[n].insert(vars.begin(), vars.end());
-    }
-    for (size_t j = n; j-- > 0;) {
-      needed_after[j] = needed_after[j + 1];
-      CollectAtomVars(rule.body[j], &needed_after[j]);
-      for (const Diseq* d : attached[j]) {
-        std::vector<VarId> vars;
-        d->lhs.CollectVars(&vars);
-        d->rhs.CollectVars(&vars);
-        needed_after[j].insert(vars.begin(), vars.end());
+    // Schema of sup_{r,j}: the variables bound by position j that (when
+    // projecting) are still needed at or after it, in ascending order.
+    auto sup_args = [&](uint32_t j) {
+      auto keep = [&](VarId v) {
+        return pos.first_bound[v] <= j &&
+               (!options.project_relevant_vars || pos.needed_until[v] > j);
+      };
+      size_t count = 0;
+      for (VarId v = 0; v < rule.num_vars; ++v) count += keep(v);
+      std::vector<Pattern> args;
+      args.reserve(count);
+      for (VarId v = 0; v < rule.num_vars; ++v) {
+        if (keep(v)) args.push_back(Pattern::Var(v));
       }
-    }
-
-    // sup_vars[j]: schema of sup_{r,j}.
-    std::vector<std::vector<VarId>> sup_vars(n + 1);
-    for (size_t j = 0; j <= n; ++j) {
-      if (options.project_relevant_vars) {
-        std::set<VarId> keep;
-        for (VarId v : bound_after[j]) {
-          if (needed_after[j].contains(v)) keep.insert(v);
-        }
-        sup_vars[j] = SortedVars(keep);
-      } else {
-        sup_vars[j] = SortedVars(bound_after[j]);
-      }
-    }
-
-    // sup_{r,j} relation ids. Placement: with atom j (its consumer), final
-    // sup at the head's peer.
-    const std::string tag =
-        options.sup_prefix +
-        (options.project_relevant_vars ? "sup" : "supall");
-    auto sup_rel = [&](size_t j) {
-      std::string name = tag + "__r" + std::to_string(ar.rule_index) + "__" +
-                         AdornmentSuffix(ar.head_adornment) + "__" +
-                         std::to_string(j);
-      PredicateId pred = ctx.InternPredicate(
-          name, static_cast<uint32_t>(sup_vars[j].size()));
-      SymbolId peer = head_peer;
-      if (options.distribute_sups && j < n) peer = rule.body[j].rel.peer;
-      return RelId{pred, peer};
+      return args;
     };
 
-    auto make_rule = [&](Atom head, std::vector<Atom> body,
-                         const std::vector<const Diseq*>& diseqs) {
-      Rule r;
+    // sup_{r,j} is named and interned once, when its defining rule is
+    // emitted. Placement: with atom j (its consumer), the final sup at the
+    // head's peer.
+    sup_name = tag + "__r" + std::to_string(ar.rule_index) + "__" +
+               AdornmentSuffix(ar.head_adornment) + "__";
+    const size_t sup_name_prefix = sup_name.size();
+    sup_rels.resize(n + 1);
+    auto sup_head = [&](uint32_t j) {
+      std::vector<Pattern> args = sup_args(j);
+      sup_name.resize(sup_name_prefix);
+      sup_name += std::to_string(j);
+      SymbolId peer = rule.head.rel.peer;
+      if (options.distribute_sups && j < n) peer = rule.body[j].rel.peer;
+      sup_rels[j] = RelId{
+          ctx.InternPredicate(sup_name, static_cast<uint32_t>(args.size())),
+          peer};
+      return Atom{sup_rels[j], std::move(args)};
+    };
+    auto sup_body = [&](uint32_t j) { return Atom{sup_rels[j], sup_args(j)}; };
+
+    auto add_rule = [&](Atom head, Atom first, Atom* second,
+                        std::optional<uint32_t> diseqs_at) {
+      Rule& r = rules.emplace_back();
       r.head = std::move(head);
-      r.body = std::move(body);
-      for (const Diseq* d : diseqs) r.diseqs.push_back(*d);
+      r.body.reserve(second != nullptr ? 2 : 1);
+      r.body.push_back(std::move(first));
+      if (second != nullptr) r.body.push_back(std::move(*second));
+      if (diseqs_at.has_value()) {
+        for (size_t k = 0; k < rule.diseqs.size(); ++k) {
+          if (diseq_pos[k] == *diseqs_at) r.diseqs.push_back(rule.diseqs[k]);
+        }
+      }
       r.num_vars = rule.num_vars;
       r.var_names = rule.var_names;
-      result.program.rules.push_back(std::move(r));
     };
 
     // Rule A: sup_{r,0} from the input relation.
-    {
-      Atom in_atom;
-      in_atom.rel = input_rel(rule.head.rel, ar.head_adornment);
-      in_atom.args = BoundArgPatterns(rule.head, ar.head_adornment);
-      Atom sup0{sup_rel(0), VarPatterns(sup_vars[0])};
-      make_rule(sup0, {in_atom}, attached[0]);
-    }
+    Atom in_atom{input_rel(rule.head.rel, ar.head_adornment),
+                 BoundArgPatterns(rule.head, ar.head_adornment)};
+    add_rule(sup_head(0), std::move(in_atom), nullptr, 0);
 
     // Rules B and C per body atom.
-    for (size_t j = 0; j < n; ++j) {
+    for (uint32_t j = 0; j < n; ++j) {
       const Atom& bj = rule.body[j];
-      Atom supj{sup_rel(j), VarPatterns(sup_vars[j])};
+      Atom joined = bj;  // rule C': the extensional relation directly
       if (ar.body_is_idb[j]) {
-        // Rule B: feed the callee's input relation.
-        Atom in_atom;
-        in_atom.rel = input_rel(bj.rel, ar.body_adornments[j]);
-        in_atom.args = BoundArgPatterns(bj, ar.body_adornments[j]);
-        make_rule(in_atom, {supj}, {});
-        // Rule C: join with the callee's answers.
-        Atom ans{answer_rel(bj.rel, ar.body_adornments[j]), bj.args};
-        Atom supj1{sup_rel(j + 1), VarPatterns(sup_vars[j + 1])};
-        make_rule(supj1, {supj, ans}, attached[j + 1]);
-      } else {
-        // Rule C': join with the extensional relation directly.
-        Atom supj1{sup_rel(j + 1), VarPatterns(sup_vars[j + 1])};
-        make_rule(supj1, {supj, bj}, attached[j + 1]);
+        // Rule B feeds the callee's input relation; rule C joins with its
+        // answers.
+        const Adornment& a = ar.body_adornments[j];
+        add_rule(Atom{input_rel(bj.rel, a), BoundArgPatterns(bj, a)},
+                 sup_body(j), nullptr, std::nullopt);
+        joined.rel = answer_rel(bj.rel, a);
       }
+      add_rule(sup_head(j + 1), sup_body(j), &joined, j + 1);
     }
 
     // Rule D: answers.
-    {
-      Atom ans{answer_rel(rule.head.rel, ar.head_adornment), rule.head.args};
-      Atom supn{sup_rel(n), VarPatterns(sup_vars[n])};
-      make_rule(ans, {supn}, {});
-    }
+    add_rule(Atom{answer_rel(rule.head.rel, ar.head_adornment),
+                  rule.head.args},
+             sup_body(n), nullptr, std::nullopt);
   }
 
   DQSQ_RETURN_IF_ERROR(ValidateProgram(result.program, ctx));

@@ -49,7 +49,9 @@ struct QsqOptions {
 };
 
 /// Rewrites `adorned` (produced by AdornProgram for the query call pattern
-/// (query_rel, query_adornment)) into the QSQ program.
+/// (query_rel, query_adornment)) into the QSQ program. Like AdornProgram,
+/// it expects the rules of a validated program (variable slots below
+/// num_vars).
 StatusOr<RewriteResult> QsqRewrite(const AdornedProgram& adorned,
                                    const RelId& query_rel,
                                    const Adornment& query_adornment,

@@ -42,6 +42,38 @@ TEST(StatusOrTest, HoldsError) {
   EXPECT_EQ(v.status().code(), StatusCode::kNotFound);
 }
 
+// Counts copies; moves are free.
+struct CopyCounter {
+  explicit CopyCounter(int* copies) : copies(copies) {}
+  CopyCounter(const CopyCounter& other) : copies(other.copies) { ++*copies; }
+  CopyCounter(CopyCounter&&) = default;
+  CopyCounter& operator=(const CopyCounter& other) {
+    copies = other.copies;
+    ++*copies;
+    return *this;
+  }
+  CopyCounter& operator=(CopyCounter&&) = default;
+  int* copies;
+};
+
+TEST(StatusOrTest, DereferencingAnRvalueMovesThePayload) {
+  int copies = 0;
+  StatusOr<CopyCounter> s = CopyCounter(&copies);
+  ASSERT_EQ(copies, 0);
+  CopyCounter taken = *std::move(s);
+  EXPECT_EQ(taken.copies, &copies);
+  EXPECT_EQ(copies, 0);
+  CopyCounter assigned(&copies);
+  StatusOr<CopyCounter> t = CopyCounter(&copies);
+  assigned = *std::move(t);
+  EXPECT_EQ(copies, 0);
+  // An lvalue still copies.
+  StatusOr<CopyCounter> u = CopyCounter(&copies);
+  CopyCounter copied = *u;
+  EXPECT_EQ(copied.copies, &copies);
+  EXPECT_EQ(copies, 1);
+}
+
 StatusOr<int> Double(StatusOr<int> in) {
   DQSQ_ASSIGN_OR_RETURN(int x, std::move(in));
   return 2 * x;

@@ -4,7 +4,10 @@
 // probes copy into reusable scratch, dedup and indices grow geometrically,
 // and the final (fixpoint-check) round does no insertion at all. This test
 // counts global operator new calls per round via EvalOptions::round_hook
-// and asserts the final round is allocation-free.
+// and asserts the final round is allocation-free. It also bounds the
+// allocations of the per-query compile path (DESIGN.md §5a, "Compile
+// path"): validation and the stratification of a positive program cost a
+// constant, the QSQ rewrite a few per emitted rule.
 //
 // Note: the counters track every allocation in the process, so the test
 // binary must stay single-threaded (gtest default).
@@ -14,9 +17,11 @@
 #include <cstdlib>
 #include <new>
 
+#include "datalog/adornment.h"
 #include "datalog/engine.h"
 #include "datalog/eval.h"
 #include "datalog/parser.h"
+#include "datalog/qsq_rewrite.h"
 
 namespace {
 uint64_t g_allocations = 0;
@@ -114,6 +119,62 @@ TEST(EvalAllocTest, LateDerivationRoundsAllocateOnlyForGrowth) {
   EXPECT_LT(during, stats->facts_derived)
       << "more than one allocation per derived fact: per-tuple allocation "
          "crept back into the hot path";
+}
+
+// A chain of `n` + 1 rules, each with a disequality: p<i> reads p<i-1>,
+// so a query on p<n> with a bound first argument demands every rule.
+std::string ChainProgram(int n) {
+  std::string text = "p0(X, Y) :- e(X, Y).\n";
+  for (int i = 1; i <= n; ++i) {
+    text += "p" + std::to_string(i) + "(X, Y) :- p" + std::to_string(i - 1) +
+            "(X, Z), e(Z, Y), X != Y.\n";
+  }
+  return text;
+}
+
+TEST(EvalAllocTest, StratifyingAPositiveProgramAllocatesOnce) {
+  DatalogContext ctx;
+  auto program = ParseProgram(ChainProgram(1000), ctx);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  uint64_t before = g_allocations;
+  auto strata = StratifyProgram(*program, ctx);
+  uint64_t during = g_allocations - before;
+  ASSERT_TRUE(strata.ok());
+  EXPECT_EQ(strata->size(), 1001u);
+  EXPECT_LE(during, 1u) << "a positive program is one stratum: only the "
+                           "result vector should allocate";
+}
+
+TEST(EvalAllocTest, ValidationAllocatesPerProgramNotPerRule) {
+  DatalogContext ctx;
+  auto program = ParseProgram(ChainProgram(1000), ctx);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  uint64_t before = g_allocations;
+  Status status = ValidateProgram(*program, ctx);
+  uint64_t during = g_allocations - before;
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_LE(during, 16u) << "ValidateProgram allocated per rule over "
+                         << program->rules.size() << " rules";
+}
+
+TEST(EvalAllocTest, QsqRewriteAllocatesFewPerEmittedRule) {
+  DatalogContext ctx;
+  auto program = ParseProgram(ChainProgram(400), ctx);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  auto query = ParseQuery("p400(a, Y)", ctx);
+  ASSERT_TRUE(query.ok());
+  Adornment adornment = QueryAdornment(query->atom);
+  auto adorned = AdornProgram(*program, query->atom.rel, adornment);
+  ASSERT_TRUE(adorned.ok()) << adorned.status().ToString();
+  uint64_t before = g_allocations;
+  auto rewrite = QsqRewrite(*adorned, query->atom.rel, adornment, ctx);
+  uint64_t during = g_allocations - before;
+  ASSERT_TRUE(rewrite.ok()) << rewrite.status().ToString();
+  const size_t rules = rewrite->program.rules.size();
+  ASSERT_GT(rules, 1000u);
+  // Counts the output validation too.
+  EXPECT_LE(during, 10 * rules)
+      << during << " allocations for " << rules << " emitted rules";
 }
 
 }  // namespace
