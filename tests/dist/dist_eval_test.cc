@@ -246,6 +246,121 @@ TEST(DistMetricsTest, DqsqShipsFewerTuplesThanDistNaiveOnE3Chain) {
   EXPECT_GE(qsq_diff.Total("dist.peer.subqueries_received"), 4u);
 }
 
+// A NetworkStats field and the registry counter that reports it. `total`
+// sums the counter over its label sets (the {peer=} crash-path counters);
+// `shim_only` rows exist only while the reliable shim is engaged.
+struct NetCounterRow {
+  const char* metric;
+  size_t NetworkStats::*field;
+  bool total = false;
+  bool shim_only = false;
+};
+
+const NetCounterRow kNetCounterRows[] = {
+    {"dist.net.messages_delivered", &NetworkStats::messages_delivered, true},
+    {"dist.net.tuples_shipped", &NetworkStats::tuples_shipped},
+    {"dist.net.rules_shipped", &NetworkStats::rules_shipped},
+    {"dist.net.wire_messages", &NetworkStats::wire_messages, false, true},
+    {"dist.net.wire_bytes", &NetworkStats::wire_bytes, false, true},
+    {"dist.net.channel_messages", &NetworkStats::wire_messages, true},
+    {"dist.net.dropped", &NetworkStats::dropped},
+    {"dist.net.duplicated", &NetworkStats::duplicated},
+    {"dist.net.delayed", &NetworkStats::delayed},
+    {"dist.net.retransmits", &NetworkStats::retransmits},
+    {"dist.net.spurious", &NetworkStats::spurious},
+    {"dist.net.transport_acks", &NetworkStats::transport_acks},
+    {"dist.net.sacked", &NetworkStats::sacked},
+    {"dist.net.fast_retransmits", &NetworkStats::fast_retransmits},
+    {"dist.net.window_stalls", &NetworkStats::window_stalls},
+    {"dist.net.window_drained", &NetworkStats::window_drained},
+    {"dist.net.rto_samples", &NetworkStats::rtt_samples},
+    {"dist.net.crashes", &NetworkStats::crashes, true},
+    {"dist.net.restarts", &NetworkStats::restarts, true},
+    {"dist.net.stale_epoch_drops", &NetworkStats::stale_epoch_drops},
+    {"dist.net.crash_drops", &NetworkStats::crash_drops},
+    {"dist.net.snapshot_bytes", &NetworkStats::snapshot_bytes, true},
+    {"dist.net.wal_records", &NetworkStats::wal_records},
+    {"dist.net.migrations", &NetworkStats::migrations, true},
+};
+
+bool Registered(const MetricsSnapshot& snapshot, const std::string& name) {
+  for (const MetricSample& s : snapshot.samples) {
+    if (s.name == name) return true;
+  }
+  return false;
+}
+
+TEST(DistMetricsTest, RegistryMatchesNetworkStatsOnEveryWire) {
+  // The per-run NetworkStats and the registry diff of the same run report
+  // the same numbers, field by field, on a perfect wire, a lossy wire and
+  // a crash plan with a live migration. An event that never fired leaves
+  // its metric unregistered: a run registers nothing it did not count.
+  struct Wire {
+    const char* name;
+    FaultPlan plan;
+    std::vector<size_t NetworkStats::*> fired;  // must be non-zero
+  };
+  std::vector<Wire> wires;
+  wires.push_back({"perfect", FaultPlan{}, {}});
+  {
+    FaultPlan lossy;
+    lossy.drop = 0.15;
+    lossy.duplicate = 0.1;
+    lossy.delay = 0.2;
+    wires.push_back({"lossy", lossy,
+                     {&NetworkStats::dropped, &NetworkStats::duplicated,
+                      &NetworkStats::delayed, &NetworkStats::retransmits}});
+  }
+  {
+    FaultPlan crash;
+    crash.crash.crash_at_step = {{/*at_step=*/8, /*peer_index=*/0}};
+    crash.crash.migrate_at_step = {{/*at_step=*/20, /*peer_index=*/1}};
+    crash.crash.down_for = 8;
+    crash.crash.checkpoint_every = 2;
+    wires.push_back({"crash+migration", crash,
+                     {&NetworkStats::crashes, &NetworkStats::restarts,
+                      &NetworkStats::migrations, &NetworkStats::wal_records,
+                      &NetworkStats::snapshot_bytes}});
+  }
+  auto& registry = MetricsRegistry::Global();
+  for (const Wire& wire : wires) {
+    for (bool qsq : {false, true}) {
+      SCOPED_TRACE(std::string(wire.name) + (qsq ? " dqsq" : " dnaive"));
+      DistOptions opts;
+      opts.faults = wire.plan;
+      MetricsSnapshot before = registry.Snapshot();
+      auto run = Solve(qsq, kFigure3, "r@r(\"1\", Y)", opts);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      MetricsSnapshot after = registry.Snapshot();
+      MetricsSnapshot diff = after.Diff(before);
+      const NetworkStats& stats = run->stats;
+      for (size_t NetworkStats::*field : wire.fired) {
+        EXPECT_GT(stats.*field, 0u);
+      }
+      for (const NetCounterRow& row : kNetCounterRows) {
+        SCOPED_TRACE(row.metric);
+        const size_t expected =
+            row.shim_only && !wire.plan.active() ? 0 : stats.*row.field;
+        if (expected == 0) {
+          EXPECT_EQ(diff.Total(row.metric), 0u);
+          if (!Registered(before, row.metric)) {
+            EXPECT_FALSE(Registered(after, row.metric))
+                << "registered by a run that never counted it";
+          }
+        } else if (row.total) {
+          EXPECT_EQ(diff.Total(row.metric), expected);
+        } else {
+          EXPECT_EQ(diff.Value(row.metric), expected);
+        }
+      }
+      if (!wire.plan.active()) {
+        // Without the shim every wire copy is a first delivery.
+        EXPECT_EQ(diff.Value("dist.net.bytes"), stats.wire_bytes);
+      }
+    }
+  }
+}
+
 TEST(DistTest, GlobalProgramSemanticsMatch) {
   // The distributed result equals evaluating P^g centrally (the paper's
   // definition of dDatalog semantics).

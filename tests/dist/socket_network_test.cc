@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
+
 namespace dqsq::dist {
 namespace {
 
@@ -196,6 +198,104 @@ TEST(SocketNetworkTest, GarbageBytesPoisonOnlyTheirConnection) {
   EXPECT_EQ(net.stats().framing_errors, 1u);
   EXPECT_TRUE(net.Pump(0).ok());  // the network itself stays usable
   close(fd);
+}
+
+// A SocketStats field and the registry counter that reports it.
+struct SocketCounterRow {
+  const char* metric;
+  size_t SocketStats::*field;
+};
+
+const SocketCounterRow kSocketCounterRows[] = {
+    {"dist.net.real_frames_sent", &SocketStats::frames_sent},
+    {"dist.net.real_frames_recv", &SocketStats::frames_received},
+    {"dist.net.real_sent_bytes", &SocketStats::bytes_sent},
+    {"dist.net.real_recv_bytes", &SocketStats::bytes_received},
+    {"dist.net.real_accepts", &SocketStats::accepts},
+    {"dist.net.real_messages_delivered", &SocketStats::messages_delivered},
+    {"dist.net.real_framing_errors", &SocketStats::framing_errors},
+};
+
+bool Registered(const MetricsSnapshot& snapshot, const std::string& name) {
+  for (const MetricSample& s : snapshot.samples) {
+    if (s.name == name) return true;
+  }
+  return false;
+}
+
+/// Every row's registry diff equals the summed stats of `nets`; a row
+/// whose event never fired was not registered by the run.
+void ExpectRegistryMatchesStats(const MetricsSnapshot& before,
+                                std::vector<const SocketNetwork*> nets) {
+  MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+  MetricsSnapshot diff = after.Diff(before);
+  for (const SocketCounterRow& row : kSocketCounterRows) {
+    SCOPED_TRACE(row.metric);
+    size_t expected = 0;
+    for (const SocketNetwork* net : nets) expected += net->stats().*row.field;
+    EXPECT_EQ(diff.Value(row.metric), expected);
+    if (expected == 0 && !Registered(before, row.metric)) {
+      EXPECT_FALSE(Registered(after, row.metric))
+          << "registered by a run that never counted it";
+    }
+  }
+}
+
+TEST(SocketNetworkTest, RegistryMatchesSocketStats) {
+  auto& registry = MetricsRegistry::Global();
+  {
+    // A clean echo round trip: frames, bytes, one accept per side, no
+    // framing error.
+    MetricsSnapshot before = registry.Snapshot();
+    DatalogContext ctx_a, ctx_b;
+    SocketNetwork a(ctx_a);
+    SocketNetwork b(ctx_b);
+    ASSERT_TRUE(a.Listen("127.0.0.1", 0).ok());
+    ASSERT_TRUE(b.Listen("127.0.0.1", 0).ok());
+    SymbolId client_a = ctx_a.symbols().Intern("client");
+    SymbolId echo_b = ctx_b.symbols().Intern("echo");
+    RecordingPeer client(client_a, /*echo=*/false);
+    RecordingPeer echo(echo_b, /*echo=*/true);
+    a.Register(client_a, &client);
+    b.Register(echo_b, &echo);
+    a.SetAddress("echo", SocketAddress{"127.0.0.1", b.listen_port()});
+    b.SetAddress("client", SocketAddress{"127.0.0.1", a.listen_port()});
+    Message m;
+    m.kind = MessageKind::kTuples;
+    m.from = client_a;
+    m.to = ctx_a.symbols().Intern("echo");
+    m.rel = RelId{ctx_a.InternPredicate("r", 1), m.to};
+    m.tuples.push_back(
+        Tuple{ctx_a.arena().MakeConstant(ctx_a.symbols().Intern("x"))});
+    a.Send(m);
+    PumpBoth(a, b, [&] { return !client.received.empty(); });
+    ASSERT_EQ(client.received.size(), 1u);
+    EXPECT_EQ(a.stats().framing_errors + b.stats().framing_errors, 0u);
+    ExpectRegistryMatchesStats(before, {&a, &b});
+  }
+  {
+    // A poisoned stream: one accept, raw bytes in, one framing error.
+    MetricsSnapshot before = registry.Snapshot();
+    DatalogContext ctx;
+    SocketNetwork net(ctx);
+    ASSERT_TRUE(net.Listen("127.0.0.1", 0).ok());
+    int fd = socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(net.listen_port());
+    ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    const char junk[] = "garbage garbage garbage garbage";
+    ASSERT_GT(write(fd, junk, sizeof(junk)), 0);
+    for (int i = 0; i < 100 && net.stats().framing_errors == 0; ++i) {
+      (void)net.Pump(10);
+    }
+    EXPECT_EQ(net.stats().framing_errors, 1u);
+    ExpectRegistryMatchesStats(before, {&net});
+    close(fd);
+  }
 }
 
 // Regression for the FlushConnection send loop: with a tiny SO_SNDBUF the
