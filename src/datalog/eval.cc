@@ -11,6 +11,41 @@ namespace dqsq {
 
 namespace {
 
+// EvalStats fields published as datalog.eval.*{mode} counters.
+constexpr StatCounter<EvalStats> kEvalCounters[] = {
+    {"datalog.eval.rounds", "", &EvalStats::rounds},
+    {"datalog.eval.facts_derived", "facts", &EvalStats::facts_derived},
+    {"datalog.eval.rule_firings", "", &EvalStats::rule_firings},
+    {"datalog.eval.join_probes", "rows", &EvalStats::join_probes},
+    {"datalog.eval.depth_pruned", "facts", &EvalStats::depth_pruned},
+    {"datalog.eval.delta_rows", "rows", &EvalStats::delta_rows},
+};
+
+// One evaluation mode's registry handles, resolved on the mode's first
+// run. Every run publishes all eight metrics, zero-valued or not.
+struct ModeCounters {
+  explicit ModeCounters(const char* mode)
+      : fields(kEvalCounters, {{"mode", mode}}),
+        runs(MetricsRegistry::Global().GetCounter("datalog.eval.runs",
+                                                  {{"mode", mode}})),
+        budget_facts_used(MetricsRegistry::Global().GetGauge(
+            "datalog.eval.budget_facts_used", {{"mode", mode}}, "facts")) {
+    fields.RegisterAll();
+  }
+  StatsPublisher<EvalStats> fields;
+  Counter& runs;
+  Gauge& budget_facts_used;
+};
+
+ModeCounters& CountersFor(bool seminaive) {
+  if (seminaive) {
+    static ModeCounters counters("seminaive");
+    return counters;
+  }
+  static ModeCounters counters("naive");
+  return counters;
+}
+
 // Evaluation of one program over one database. Semi-naive bookkeeping is
 // row-count based: each relation's rows appended during round r form the
 // delta consumed in round r+1. Rounds are delta-driven (DESIGN.md,
@@ -72,24 +107,12 @@ class Evaluator : public JoinHost {
   }
 
   // One registry update per evaluation (also on error paths): the hot
-  // loops accumulate into plain size_t fields and the totals land here.
+  // loops accumulate into stats_ and the run's totals are published here.
   void FlushMetrics() {
-    auto& registry = MetricsRegistry::Global();
-    Labels mode{{"mode", options_.seminaive ? "seminaive" : "naive"}};
-    registry.GetCounter("datalog.eval.runs", mode).Increment();
-    registry.GetCounter("datalog.eval.rounds", mode).Increment(stats_.rounds);
-    registry.GetCounter("datalog.eval.facts_derived", mode, "facts")
-        .Increment(stats_.facts_derived);
-    registry.GetCounter("datalog.eval.rule_firings", mode)
-        .Increment(stats_.rule_firings);
-    registry.GetCounter("datalog.eval.join_probes", mode, "rows")
-        .Increment(stats_.join_probes);
-    registry.GetCounter("datalog.eval.depth_pruned", mode, "facts")
-        .Increment(stats_.depth_pruned);
-    registry.GetCounter("datalog.eval.delta_rows", mode, "rows")
-        .Increment(delta_rows_);
-    registry.GetGauge("datalog.eval.budget_facts_used", mode, "facts")
-        .Set(static_cast<int64_t>(db_.TotalFacts()));
+    ModeCounters& counters = CountersFor(options_.seminaive);
+    counters.runs.Increment();
+    counters.fields.Add(EvalStats{}, stats_);
+    counters.budget_facts_used.Set(static_cast<int64_t>(db_.TotalFacts()));
   }
 
   Status RunLayer(const std::vector<const Rule*>& layer) {
@@ -184,7 +207,7 @@ class Evaluator : public JoinHost {
     // evaluator is the only writer, so the database grew by exactly the
     // facts derived since the last snapshot.
     size_t rows = initial_facts_ + stats_.facts_derived;
-    delta_rows_ += rows - layer_rows_;
+    stats_.delta_rows += rows - layer_rows_;
     layer_rows_ = rows;
     for (Snapshot* snap : active_) snap->base = snap->cur;
     for (Snapshot* snap : grown_) {
@@ -366,7 +389,6 @@ class Evaluator : public JoinHost {
   size_t initial_facts_ = 0;       // db size when evaluation began
   Relation* head_rel_ = nullptr;   // per-EvalRule cache (lazy)
   Snapshot* head_snap_ = nullptr;  // the EvalRule head's snapshot, if read
-  size_t delta_rows_ = 0;  // rows that entered some round's delta
   size_t layer_rows_ = 0;  // database rows at the layer's last snapshot
   // Per layer (BuildSnapshots): snapshots, plan i's body-atom snapshots at
   // atom_snaps_[first_atom_[i]...], each plan's head snapshot (null when no
