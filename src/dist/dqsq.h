@@ -11,7 +11,7 @@ namespace dqsq::dist {
 
 /// Evaluates `query` with dQSQ. Returns the same answers as centralized
 /// QSQ / naive evaluation (paper Theorem 1), materializing only demanded
-/// facts.
+/// facts. Shares its body with DistNaiveSolve (dnaive.cc).
 StatusOr<DistResult> DistQsqSolve(DatalogContext& ctx, const Program& program,
                                   const ParsedQuery& query,
                                   const DistOptions& options);
