@@ -169,6 +169,45 @@ TEST(ParserTest, RejectsSyntaxErrors) {
   EXPECT_FALSE(ParseProgram("P(x).", ctx).ok());          // var as predicate
 }
 
+// "p(f(f(...f(a)...)))." with `nest` applications of f: its argument term
+// has depth nest + 1.
+std::string NestedFact(size_t nest) {
+  std::string text = "p(";
+  for (size_t i = 0; i < nest; ++i) text += "f(";
+  text += "a";
+  text += std::string(nest, ')');
+  text += ").";
+  return text;
+}
+
+TEST(ParserTest, RejectsTermsNestedPastTheDepthLimit) {
+  // 30,000 levels used to recurse the parser off the stack; the limit
+  // turns that into an error at the first level past it.
+  DatalogContext ctx;
+  auto deep = ParseProgram(NestedFact(30000), ctx);
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument);
+  // The offending token is the 1001st level's term, after "p(" and 1000
+  // "f(" openers.
+  EXPECT_NE(deep.status().message().find("offset 2002"), std::string::npos)
+      << deep.status().ToString();
+  EXPECT_NE(deep.status().message().find("nested deeper than 1000"),
+            std::string::npos)
+      << deep.status().ToString();
+  auto query = ParseQuery(NestedFact(30000), ctx);
+  EXPECT_EQ(query.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ParserTest, TermExactlyAtTheDepthLimitParses) {
+  DatalogContext ctx;
+  auto at_limit = ParseProgram(NestedFact(999), ctx);  // depth 1000
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  ASSERT_EQ(at_limit->rules.size(), 1u);
+  EXPECT_EQ(RuleToString(at_limit->rules[0], ctx), NestedFact(999));
+  auto past = ParseProgram(NestedFact(1000), ctx);  // depth 1001
+  EXPECT_EQ(past.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ParserTest, QueryAtomCollectsVariables) {
   DatalogContext ctx;
   auto q = ParseQuery("path@r(\"1\", Y)", ctx);
