@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "datalog/relation.h"
 #include "diagnosis/explanation.h"
 #include "diagnosis/supervisor.h"
 #include "petri/alarm.h"
@@ -68,6 +69,12 @@ struct DiagnosisResult {
   std::vector<std::string> materialized_events;
   std::vector<std::string> materialized_conditions;
 };
+
+/// Turns the supervisor query's q(z, x) answer rows into canonical
+/// explanations: groups by configuration id z, renders each event term and
+/// drops the virtual root `r`. Shared with OnlineDiagnoser.
+std::vector<Explanation> ExtractExplanations(
+    const std::vector<Tuple>& answers, const DatalogContext& ctx);
 
 /// Diagnoses an exact alarm sequence (the paper's §2 problem).
 StatusOr<DiagnosisResult> Diagnose(const petri::PetriNet& net,
