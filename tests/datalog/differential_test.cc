@@ -3,9 +3,13 @@
 // and must produce identical answers. Naive evaluation re-joins every rule
 // every round, so it is also the oracle for semi-naive rule activation:
 // both modes must leave byte-identical databases, with and without
-// stratified negation. Parameterized over generator seeds (TEST_P), so
+// stratified negation. Any fair rule order reaches the same model, so a
+// rule-shuffled copy of a program must leave the same database too.
+// Parameterized over generator seeds (TEST_P), so
 // each seed is an independently reported case.
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "common/rng.h"
 #include "datalog/engine.h"
@@ -173,6 +177,23 @@ TEST_P(DifferentialTest, StratifiedNegationSemiNaiveMatchesNaive) {
   EXPECT_EQ(
       testing::RunQueryStrings(c1, c.program, c.query, Strategy::kSemiNaive),
       testing::RunQueryStrings(c2, c.program, c.query, Strategy::kNaive));
+}
+
+TEST_P(DifferentialTest, RuleOrderDoesNotChangeTheDatabase) {
+  for (bool negation : {false, true}) {
+    GeneratedCase c = GenerateProgram(GetParam(), negation);
+    // One rule or fact per line: shuffle the lines.
+    std::vector<std::string> lines;
+    std::istringstream in(c.program);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    Rng rng(GetParam());
+    rng.Shuffle(lines);
+    std::string shuffled;
+    for (const std::string& line : lines) shuffled += line + "\n";
+    SCOPED_TRACE(c.program + "shuffled:\n" + shuffled);
+    EXPECT_EQ(EvaluateToDump(shuffled, /*seminaive=*/true),
+              EvaluateToDump(c.program, /*seminaive=*/true));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/symbol_table.h"
 
 namespace dqsq {
@@ -85,6 +88,39 @@ TEST_F(TermArenaTest, ManyDistinctTermsStayDistinct) {
   TermId again = arena_.MakeConstant(symbols_.Intern("seed"));
   for (int i = 0; i < 1000; ++i) again = arena_.MakeApp(f, {again});
   EXPECT_EQ(again, prev);
+}
+
+// Ids are dense and in creation order, and the interning tables keep
+// them through growth: 100k mixed constants and applications, re-interned
+// after the tables have grown many times, return the same ids.
+TEST_F(TermArenaTest, DenseCreationOrderIdsSurviveTableGrowth) {
+  constexpr TermId kTerms = 100000;
+  SymbolId f = symbols_.Intern("f");
+  SymbolId g = symbols_.Intern("g");
+  std::vector<SymbolId> constants;
+  for (TermId i = 0; i < kTerms; i += 3) {
+    constants.push_back(symbols_.Intern("c" + std::to_string(i)));
+  }
+  std::vector<TermId> ids;
+  auto make = [&](TermId i) {
+    switch (i % 3) {
+      case 0:
+        return arena_.MakeConstant(constants[i / 3]);
+      case 1:
+        return arena_.MakeApp(f, {ids[i - 1]});
+      default:
+        return arena_.MakeApp(g, {ids[i / 2], ids[i - 1]});
+    }
+  };
+  for (TermId i = 0; i < kTerms; ++i) ids.push_back(make(i));
+  size_t out_of_order = 0;
+  for (TermId i = 0; i < kTerms; ++i) out_of_order += ids[i] != i;
+  EXPECT_EQ(out_of_order, 0u);
+  EXPECT_EQ(arena_.size(), kTerms);
+  size_t changed = 0;
+  for (TermId i = 0; i < kTerms; ++i) changed += make(i) != ids[i];
+  EXPECT_EQ(changed, 0u);
+  EXPECT_EQ(arena_.size(), kTerms);
 }
 
 }  // namespace
