@@ -47,6 +47,11 @@ uint32_t DatalogContext::PredicateArity(PredicateId id) const {
   return preds_[id].arity;
 }
 
+const std::vector<std::string>& VarNameList(const VarNames& names) {
+  static const std::vector<std::string> kNone;
+  return names != nullptr ? *names : kNone;
+}
+
 std::string AtomToString(const Atom& atom, const DatalogContext& ctx,
                          const std::vector<std::string>* var_names) {
   std::string out = ctx.PredicateName(atom.rel.pred);
@@ -64,27 +69,27 @@ std::string AtomToString(const Atom& atom, const DatalogContext& ctx,
 }
 
 std::string RuleToString(const Rule& rule, const DatalogContext& ctx) {
-  std::string out = AtomToString(rule.head, ctx, &rule.var_names);
+  std::string out = AtomToString(rule.head, ctx, rule.var_names.get());
   if (rule.IsFact()) return out + ".";
   out += " :- ";
   bool first = true;
   for (const Atom& a : rule.body) {
     if (!first) out += ", ";
     first = false;
-    out += AtomToString(a, ctx, &rule.var_names);
+    out += AtomToString(a, ctx, rule.var_names.get());
   }
   for (const Atom& a : rule.negative) {
     if (!first) out += ", ";
     first = false;
     out += "not ";
-    out += AtomToString(a, ctx, &rule.var_names);
+    out += AtomToString(a, ctx, rule.var_names.get());
   }
   for (const Diseq& d : rule.diseqs) {
     if (!first) out += ", ";
     first = false;
-    out += d.lhs.ToString(ctx.symbols(), &rule.var_names);
+    out += d.lhs.ToString(ctx.symbols(), rule.var_names.get());
     out += " != ";
-    out += d.rhs.ToString(ctx.symbols(), &rule.var_names);
+    out += d.rhs.ToString(ctx.symbols(), rule.var_names.get());
   }
   return out + ".";
 }

@@ -8,6 +8,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -97,6 +98,14 @@ struct Diseq {
   Pattern rhs;
 };
 
+/// Source names of a rule's variables, by slot (null: none recorded).
+/// Immutable once built, so every rule a rewrite emits from one source
+/// rule shares the source rule's list.
+using VarNames = std::shared_ptr<const std::vector<std::string>>;
+
+/// The list `names` points at, or an empty one.
+const std::vector<std::string>& VarNameList(const VarNames& names);
+
 /// head :- body, not negative..., diseqs. Variables are rule-local slots
 /// 0..num_vars-1; var_names records source names for printing. Negated
 /// atoms ("not R(x)") must be safe: every variable they use appears in the
@@ -110,7 +119,7 @@ struct Rule {
   std::vector<Atom> negative;
   std::vector<Diseq> diseqs;
   uint32_t num_vars = 0;
-  std::vector<std::string> var_names;
+  VarNames var_names;
 
   bool IsFact() const {
     return body.empty() && negative.empty() && diseqs.empty();

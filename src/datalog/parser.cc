@@ -196,7 +196,8 @@ class Parser {
     }
     DQSQ_RETURN_IF_ERROR(Expect(TokKind::kPeriod, "'.'"));
     rule.num_vars = static_cast<uint32_t>(var_names_.size());
-    rule.var_names = var_names_;
+    rule.var_names =
+        std::make_shared<const std::vector<std::string>>(var_names_);
     return rule;
   }
 

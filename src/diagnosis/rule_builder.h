@@ -51,7 +51,8 @@ class RuleBuilder {
     rule.body = std::move(body);
     rule.diseqs = std::move(diseqs);
     rule.num_vars = static_cast<uint32_t>(names_.size());
-    rule.var_names = names_;
+    rule.var_names =
+        std::make_shared<const std::vector<std::string>>(std::move(names_));
     slots_.clear();
     names_.clear();
     return rule;

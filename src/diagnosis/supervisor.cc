@@ -269,7 +269,7 @@ StatusOr<SupervisorProgram> BuildSupervisor(
   out.query.atom.rel = q_rule.head.rel;
   for (const Pattern& arg : q_rule.head.args) {
     out.query.atom.args.push_back(Pattern::Var(out.query.num_vars++));
-    out.query.var_names.push_back(q_rule.var_names[arg.var()]);
+    out.query.var_names.push_back((*q_rule.var_names)[arg.var()]);
   }
   return out;
 }

@@ -183,9 +183,12 @@ Status DatalogPeer::RewriteForPattern(const RelId& rel,
     // is inert.
     Rule bridge;
     bridge.num_vars = arity;
+    std::vector<std::string> names;
     for (uint32_t i = 0; i < arity; ++i) {
-      bridge.var_names.push_back("V" + std::to_string(i));
+      names.push_back("V" + std::to_string(i));
     }
+    bridge.var_names =
+        std::make_shared<const std::vector<std::string>>(std::move(names));
     std::vector<Pattern> all_vars;
     std::vector<Pattern> bound_vars;
     for (uint32_t i = 0; i < arity; ++i) {

@@ -127,8 +127,9 @@ void EncodeRule(const Rule& rule, SnapshotWriter& w) {
     EncodePattern(d.rhs, w);
   }
   w.U32(rule.num_vars);
-  w.U64(rule.var_names.size());
-  for (const std::string& name : rule.var_names) w.Str(name);
+  const std::vector<std::string>& names = VarNameList(rule.var_names);
+  w.U64(names.size());
+  for (const std::string& name : names) w.Str(name);
 }
 
 Rule DecodeRule(SnapshotReader& r) {
@@ -150,8 +151,11 @@ Rule DecodeRule(SnapshotReader& r) {
   }
   rule.num_vars = r.U32();
   n = r.U64();
-  rule.var_names.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) rule.var_names.push_back(r.Str());
+  std::vector<std::string> names;
+  names.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) names.push_back(r.Str());
+  rule.var_names =
+      std::make_shared<const std::vector<std::string>>(std::move(names));
   return rule;
 }
 

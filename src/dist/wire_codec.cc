@@ -107,8 +107,9 @@ void EncodeWireRule(const Rule& rule, const DatalogContext& ctx,
     EncodeWirePattern(d.rhs, ctx, w);
   }
   w.U32(rule.num_vars);
-  w.U32(static_cast<uint32_t>(rule.var_names.size()));
-  for (const std::string& name : rule.var_names) w.Str(name);
+  const std::vector<std::string>& names = VarNameList(rule.var_names);
+  w.U32(static_cast<uint32_t>(names.size()));
+  for (const std::string& name : names) w.Str(name);
 }
 
 Rule DecodeWireRule(SnapshotReader& r, DatalogContext& ctx) {
@@ -132,8 +133,11 @@ Rule DecodeWireRule(SnapshotReader& r, DatalogContext& ctx) {
   }
   rule.num_vars = r.U32();
   n = r.U32();
-  rule.var_names.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) rule.var_names.push_back(r.Str());
+  std::vector<std::string> names;
+  names.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) names.push_back(r.Str());
+  rule.var_names =
+      std::make_shared<const std::vector<std::string>>(std::move(names));
   return rule;
 }
 

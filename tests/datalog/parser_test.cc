@@ -96,8 +96,10 @@ Rule UnaryRule(DatalogContext& ctx, uint32_t num_vars) {
       Atom{RelId{ctx.InternPredicate("b", 1), ctx.local_peer()},
            {Pattern::Var(0)}});
   rule.num_vars = num_vars;
-  rule.var_names = {"X", "Y"};
-  rule.var_names.resize(num_vars);
+  std::vector<std::string> names = {"X", "Y"};
+  names.resize(num_vars);
+  rule.var_names =
+      std::make_shared<const std::vector<std::string>>(std::move(names));
   return rule;
 }
 

@@ -150,7 +150,7 @@ TEST(SupervisorTest, InitialConfigurationFact) {
     if (built->ctx.PredicateName(rule.head.rel.pred) != "cfgp") continue;
     found = true;
     // cfgp(h(r), h(r), r, st_p1_0).
-    EXPECT_EQ(AtomToString(rule.head, built->ctx, &rule.var_names),
+    EXPECT_EQ(AtomToString(rule.head, built->ctx, rule.var_names.get()),
               "cfgp@sup0(h(r),h(r),r,st_p1_0)");
   }
   EXPECT_TRUE(found);

@@ -75,7 +75,9 @@ TEST(SnapshotCodecTest, RuleEncodingIsByteStable) {
   rule.negative.push_back(neg);
   rule.diseqs.push_back(Diseq{Pattern::Var(0), Pattern::Var(1)});
   rule.num_vars = 2;
-  rule.var_names = {"X", "Y"};
+  rule.var_names =
+      std::make_shared<const std::vector<std::string>>(
+          std::vector<std::string>{"X", "Y"});
 
   SnapshotWriter w1;
   EncodeRule(rule, w1);
@@ -90,7 +92,7 @@ TEST(SnapshotCodecTest, RuleEncodingIsByteStable) {
   EXPECT_EQ(back.negative.size(), 1u);
   EXPECT_EQ(back.diseqs.size(), 1u);
   EXPECT_EQ(back.num_vars, 2u);
-  EXPECT_EQ(back.var_names, rule.var_names);
+  EXPECT_EQ(VarNameList(back.var_names), VarNameList(rule.var_names));
 }
 
 TEST(SnapshotCodecTest, MessageEncodingCarriesTheFullEnvelope) {

@@ -78,9 +78,12 @@ Rule RandomRule(Rng& rng, DatalogContext& ctx) {
     rule.diseqs.push_back(std::move(d));
   }
   rule.num_vars = 4;
+  std::vector<std::string> names;
   for (uint32_t i = 0; i < rule.num_vars; ++i) {
-    rule.var_names.push_back("V" + std::to_string(i));
+    names.push_back("V" + std::to_string(i));
   }
+  rule.var_names =
+      std::make_shared<const std::vector<std::string>>(std::move(names));
   return rule;
 }
 
