@@ -84,7 +84,7 @@ bool ReliableTransport::StampOutgoing(Message& m, uint64_t now) {
     // Window full — or a stalled backlog exists, which must drain first to
     // keep the channel's transmission order FIFO: queue sender-side. The
     // ack and SACK blocks are attached at actual transmission time.
-    ++stats_.window_stalls;
+    if (!replaying_) ++stats_.window_stalls;
     m.retransmit = false;
     sender.pending.push_back(m);
     return false;
@@ -113,7 +113,7 @@ void ReliableTransport::ApplyAck(SenderState& sender, const Message& m,
   for (const SackBlock& block : m.sack) {
     for (auto it = sender.unacked.lower_bound(block.first);
          it != sender.unacked.end() && it->first <= block.last;) {
-      ++stats_.sacked;
+      if (!replaying_) ++stats_.sacked;
       it = sample_and_erase(it);
     }
   }
@@ -145,7 +145,7 @@ void ReliableTransport::ApplyAck(SenderState& sender, const Message& m,
       if (++entry.dup_evidence >= config_.fast_retransmit_dupacks) {
         entry.fast_retx_done = true;
         entry.due = now;
-        ++stats_.fast_retransmits;
+        if (!replaying_) ++stats_.fast_retransmits;
       }
     }
   }

@@ -208,7 +208,9 @@ class ReliableTransport {
   std::string ProtocolImage(SymbolId peer) const;
 
   /// Replay mode: suppresses RTT sampling (replayed deliveries carry no
-  /// timing information).
+  /// timing information) and the SACK, fast-retransmit and window-stall
+  /// counts, which were counted when the events first happened. Replayed
+  /// acks and stalls still change the protocol state.
   void set_replaying(bool replaying) { replaying_ = replaying; }
 
  private:

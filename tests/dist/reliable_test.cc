@@ -327,6 +327,61 @@ TEST(ReliableTransportTest, SackRepairsOnlyTheHole) {
   EXPECT_TRUE(transport.AllPayloadDelivered());
 }
 
+// A replayed ack takes effect but is not counted again: its SACK and
+// fast-retransmit events were counted when it first arrived.
+TEST(ReliableTransportTest, ReplayedSackAckTakesEffectWithoutCounting) {
+  struct Outcome {
+    TransportStats stats;
+    std::string image;
+  };
+  auto run = [](bool replaying) {
+    ReliableConfig config;
+    config.fast_retransmit_dupacks = 1;
+    ReliableTransport transport(config);
+    Message m[6];
+    for (int i = 1; i <= 5; ++i) {
+      m[i] = Basic(1, 2);
+      transport.StampOutgoing(m[i], 0);
+    }
+    // Seq 2 is lost: the ack carries cum 1 and the SACK block [3,5].
+    transport.OnWireDelivery(m[1], 1);
+    for (int i = 3; i <= 5; ++i) transport.OnWireDelivery(m[i], i);
+    auto acks = transport.PollWire(5);
+    EXPECT_EQ(acks.size(), 1u);
+    EXPECT_EQ(acks[0].sack.size(), 1u);
+    std::string before = transport.ProtocolImage(1);
+    transport.set_replaying(replaying);
+    EXPECT_EQ(transport.OnWireDelivery(acks[0], 6),
+              ReliableTransport::Disposition::kControl);
+    transport.set_replaying(false);
+    EXPECT_NE(transport.ProtocolImage(1), before);  // 1, 3, 4, 5 erased
+    return Outcome{transport.stats(), transport.ProtocolImage(1)};
+  };
+  Outcome replayed = run(/*replaying=*/true);
+  Outcome live = run(/*replaying=*/false);
+  EXPECT_EQ(replayed.image, live.image);
+  EXPECT_EQ(replayed.stats.sacked, 0u);
+  EXPECT_EQ(replayed.stats.fast_retransmits, 0u);
+  EXPECT_EQ(live.stats.sacked, 3u);
+  EXPECT_EQ(live.stats.fast_retransmits, 1u);
+}
+
+TEST(ReliableTransportTest, ReplayedWindowStallQueuesWithoutCounting) {
+  ReliableConfig config;
+  config.window = 1;
+  ReliableTransport transport(config);
+  Message a = Basic(1, 2), b = Basic(1, 2), c = Basic(1, 2);
+  transport.set_replaying(true);
+  EXPECT_TRUE(transport.StampOutgoing(a, 0));
+  EXPECT_FALSE(transport.StampOutgoing(b, 0));  // queued behind the window
+  transport.set_replaying(false);
+  EXPECT_EQ(transport.stats().window_stalls, 0u);
+  EXPECT_FALSE(transport.StampOutgoing(c, 0));
+  EXPECT_EQ(transport.stats().window_stalls, 1u);
+  EXPECT_EQ(b.seq, 2u);
+  EXPECT_EQ(c.seq, 3u);
+}
+
 TEST(ReliableTransportTest, SackBlockListIsBounded) {
   ReliableConfig config;
   config.max_sack_blocks = 2;
