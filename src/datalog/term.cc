@@ -12,40 +12,41 @@ const TermArena::Node& TermArena::node(TermId term) const {
   return nodes_[term];
 }
 
-size_t TermArena::HashKey(bool is_app, SymbolId symbol,
-                          std::span<const TermId> args) const {
-  size_t seed = is_app ? 0x517cc1b727220a95ULL : 0x2545f4914f6cdd1dULL;
-  HashCombine(seed, symbol);
+uint32_t TermArena::HashApp(SymbolId fn, std::span<const TermId> args) {
+  size_t seed = 0x517cc1b727220a95ULL;
+  HashCombine(seed, fn);
   for (TermId a : args) HashCombine(seed, a);
-  return seed;
+  // Fibonacci finish: the slot index takes the low bits of the result.
+  return static_cast<uint32_t>((seed * 0x9e3779b97f4a7c15ULL) >> 32);
 }
 
-bool TermArena::KeyEquals(TermId term, bool is_app, SymbolId symbol,
+bool TermArena::AppEquals(TermId term, SymbolId fn,
                           std::span<const TermId> args) const {
   const Node& n = node(term);
-  if (n.is_app != is_app || n.symbol != symbol || n.num_args != args.size()) {
-    return false;
-  }
+  if (!n.is_app || n.symbol != fn || n.num_args != args.size()) return false;
   return std::equal(args.begin(), args.end(), args_.begin() + n.first_arg);
 }
 
 TermId TermArena::MakeConstant(SymbolId symbol) {
-  size_t h = HashKey(/*is_app=*/false, symbol, {});
-  auto [lo, hi] = intern_.equal_range(h);
-  for (auto it = lo; it != hi; ++it) {
-    if (KeyEquals(it->second, false, symbol, {})) return it->second;
+  if (symbol < constants_.size() && constants_[symbol] != kNoTerm) {
+    return constants_[symbol];
   }
+  if (symbol >= constants_.size()) constants_.resize(symbol + 1, kNoTerm);
   TermId id = static_cast<TermId>(nodes_.size());
   nodes_.push_back(Node{symbol, 0, 0, /*is_app=*/false, /*depth=*/1});
-  intern_.emplace(h, id);
+  constants_[symbol] = id;
   return id;
 }
 
 TermId TermArena::MakeApp(SymbolId fn, std::span<const TermId> args) {
-  size_t h = HashKey(/*is_app=*/true, fn, args);
-  auto [lo, hi] = intern_.equal_range(h);
-  for (auto it = lo; it != hi; ++it) {
-    if (KeyEquals(it->second, true, fn, args)) return it->second;
+  if (2 * (num_apps_ + 1) > apps_.size()) GrowApps();
+  uint32_t hash = HashApp(fn, args);
+  size_t mask = apps_.size() - 1;
+  size_t i = hash & mask;
+  for (; apps_[i].id != kNoTerm; i = (i + 1) & mask) {
+    if (apps_[i].hash == hash && AppEquals(apps_[i].id, fn, args)) {
+      return apps_[i].id;
+    }
   }
   uint32_t depth = 1;
   for (TermId a : args) depth = std::max(depth, node(a).depth + 1);
@@ -54,8 +55,21 @@ TermId TermArena::MakeApp(SymbolId fn, std::span<const TermId> args) {
   args_.insert(args_.end(), args.begin(), args.end());
   nodes_.push_back(Node{fn, first, static_cast<uint16_t>(args.size()),
                         /*is_app=*/true, depth});
-  intern_.emplace(h, id);
+  apps_[i] = Slot{id, hash};
+  ++num_apps_;
   return id;
+}
+
+void TermArena::GrowApps() {
+  std::vector<Slot> old = std::move(apps_);
+  apps_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
+  size_t mask = apps_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.id == kNoTerm) continue;
+    size_t i = slot.hash & mask;
+    while (apps_[i].id != kNoTerm) i = (i + 1) & mask;
+    apps_[i] = slot;
+  }
 }
 
 std::span<const TermId> TermArena::Args(TermId term) const {

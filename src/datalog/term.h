@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/symbol_table.h"
@@ -64,22 +63,26 @@ class TermArena {
     uint32_t depth;
   };
 
-  struct PendingKey {
-    bool is_app;
-    SymbolId symbol;
-    std::span<const TermId> args;
+  // One slot of the application table: a term id (kNoTerm = empty) and
+  // its key hash, so a probe reads a node only on a hash match and growth
+  // rehashes without re-reading arguments.
+  struct Slot {
+    TermId id = kNoTerm;
+    uint32_t hash = 0;
   };
 
   const Node& node(TermId term) const;
-  size_t HashKey(bool is_app, SymbolId symbol,
+  static uint32_t HashApp(SymbolId fn, std::span<const TermId> args);
+  bool AppEquals(TermId term, SymbolId fn,
                  std::span<const TermId> args) const;
-  bool KeyEquals(TermId term, bool is_app, SymbolId symbol,
-                 std::span<const TermId> args) const;
+  void GrowApps();
 
   std::vector<Node> nodes_;
   std::vector<TermId> args_;
-  // Open-addressed map from structural hash to candidate term ids.
-  std::unordered_multimap<size_t, TermId> intern_;
+  // Interning tables; ids are assigned in creation order either way.
+  std::vector<TermId> constants_;  // by symbol id; kNoTerm = not interned
+  std::vector<Slot> apps_;  // open-addressed, power-of-two size, load <= 1/2
+  size_t num_apps_ = 0;
 };
 
 }  // namespace dqsq
