@@ -16,7 +16,7 @@
 namespace dqsq {
 
 struct EvalOptions {
-  /// Fixpoint iteration cap; exceeded => RESOURCE_EXHAUSTED.
+  /// Cap on the passes of one stratum; exceeded => RESOURCE_EXHAUSTED.
   size_t max_rounds = 100000;
   /// Total-fact cap across the database; exceeded => RESOURCE_EXHAUSTED.
   size_t max_facts = 50'000'000;
@@ -27,10 +27,10 @@ struct EvalOptions {
     kError,  // fail the evaluation instead
   };
   DepthPolicy depth_policy = DepthPolicy::kPrune;
-  /// Semi-naive (delta-driven) or naive (full re-join each round).
+  /// Semi-naive (watermarked) or naive (full re-join each pass).
   bool seminaive = true;
-  /// Test hook invoked after each fixpoint round's rule evaluation (before
-  /// the fixpoint check), with the layer-local round number. Raw function
+  /// Test hook invoked after each pass's rule visits (before the fixpoint
+  /// check), with the layer-local pass number. Raw function
   /// pointer + context so installing it costs no allocation; the
   /// steady-state zero-allocation test keys on this.
   void (*round_hook)(void* ctx, size_t round) = nullptr;
@@ -42,14 +42,14 @@ struct EvalOptions {
 /// `datalog.eval.*{mode}` (docs/METRICS.md); every run publishes its
 /// mode's eight metrics, zero-valued or not.
 struct EvalStats {
-  size_t rounds = 0;
+  size_t rounds = 0;         // passes, summed over strata
   size_t facts_derived = 0;  // new facts inserted by this evaluation
   size_t rule_firings = 0;   // successful full body matches
   size_t join_probes = 0;    // candidate rows examined
   size_t depth_pruned = 0;   // derivations dropped by the depth cap
-  size_t delta_rows = 0;     // rows that entered some round's delta
-  size_t rule_visits = 0;    // rules visited: all in round 0, then those
-                             // reading a non-empty delta (semi-naive)
+  size_t delta_rows = 0;     // database growth per pass, summed
+  size_t rule_visits = 0;    // plan visits: every plan every pass (naive),
+                             // the dirty plans (semi-naive)
 };
 
 /// Runs `program` over `db` (which already holds the extensional facts)
