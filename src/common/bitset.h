@@ -1,5 +1,6 @@
 // Growable bitset used for the unfolding engine's concurrency relation and
-// causal-ancestor sets, where dense pairwise queries dominate.
+// causal-ancestor sets, where dense pairwise queries dominate, and for the
+// evaluator's dirty plans, scanned in ascending order.
 #ifndef DQSQ_COMMON_BITSET_H_
 #define DQSQ_COMMON_BITSET_H_
 
@@ -64,6 +65,20 @@ class DynBitset {
       if (words_[i] & other.words_[i]) return false;
     }
     return true;
+  }
+
+  static constexpr size_t npos = static_cast<size_t>(-1);
+
+  /// The lowest set bit at or after `from`, or npos.
+  size_t FindNext(size_t from) const {
+    size_t w = from / 64;
+    if (w >= words_.size()) return npos;
+    uint64_t word = words_[w] & (~0ULL << (from % 64));
+    while (word == 0) {
+      if (++w == words_.size()) return npos;
+      word = words_[w];
+    }
+    return w * 64 + static_cast<size_t>(__builtin_ctzll(word));
   }
 
   size_t PopCount() const {

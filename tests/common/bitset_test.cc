@@ -64,6 +64,19 @@ TEST(DynBitsetTest, ToVectorAscending) {
   EXPECT_EQ(b.ToVector(), (std::vector<uint32_t>{0, 63, 64, 65, 200, 500}));
 }
 
+TEST(DynBitsetTest, FindNextWalksSetBitsAscending) {
+  DynBitset b(600);
+  for (uint32_t i : {500u, 0u, 63u, 64u, 65u, 200u}) b.Set(i);
+  std::vector<uint32_t> found;
+  for (size_t i = b.FindNext(0); i != DynBitset::npos; i = b.FindNext(i + 1)) {
+    found.push_back(static_cast<uint32_t>(i));
+  }
+  EXPECT_EQ(found, b.ToVector());
+  EXPECT_EQ(b.FindNext(66), 200u);
+  EXPECT_EQ(b.FindNext(501), DynBitset::npos);
+  EXPECT_EQ(b.FindNext(100000), DynBitset::npos);
+}
+
 TEST(DynBitsetTest, IntersectShrinksLongerSide) {
   DynBitset a, b;
   a.Set(300);
