@@ -20,7 +20,7 @@ namespace dqsq {
 
 enum class Strategy {
   kNaive,         // bottom-up, full re-join every round
-  kSemiNaive,     // bottom-up, delta-driven
+  kSemiNaive,     // bottom-up, watermarked passes
   kMagic,         // magic-sets rewriting + semi-naive
   kQsq,           // QSQ rewriting + semi-naive (the paper's §3.1)
   kQsqAllVars,    // QSQ without relevant-variable projection (E7 ablation)
