@@ -67,7 +67,6 @@ struct SocketNetworkOptions {
 /// NetworkStats. Socket byte counts include frame headers.
 struct SocketStats {
   size_t messages_delivered = 0;  // peer messages handed to local nodes
-  size_t tuples_shipped = 0;      // sum of delivered kTuples payload sizes
   size_t frames_sent = 0;         // all frames, control included
   size_t frames_received = 0;
   size_t bytes_sent = 0;
