@@ -23,6 +23,11 @@ namespace dqsq {
 
 using PredicateId = uint32_t;
 
+/// Deepest term or pattern accepted (a constant or variable has depth 1).
+/// The parser and the message decoder recurse per level, so input bytes
+/// must not choose the stack depth.
+inline constexpr uint32_t kMaxTermDepth = 1000;
+
 /// Identifies a relation instance: predicate R located at peer p (the pair
 /// "R@p" of the paper). Centralized programs place everything at one peer.
 struct RelId {

@@ -7,10 +7,6 @@ namespace dqsq {
 
 namespace {
 
-// Deepest term accepted (a constant or variable has depth 1). The parser
-// recurses per level, so program text must not choose the stack depth.
-constexpr uint32_t kMaxTermDepth = 1000;
-
 enum class TokKind {
   kIdent,
   kString,

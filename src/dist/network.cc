@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "dist/wire_codec.h"
 
 namespace dqsq::dist {
 
@@ -515,7 +516,8 @@ void SimNetwork::RecoverPeer(SymbolId peer, const std::string& frozen_image) {
   transport_->set_replaying(true);
   for (const std::string& record : store_.ReadLog(WalKey(peer))) {
     SnapshotReader r(record);
-    Message m = DecodeMessage(r);
+    Message m = DecodeMessage(r, kRawIds);
+    DQSQ_CHECK(r.AtEnd()) << "trailing bytes after write-ahead log record";
     ReliableTransport::Disposition disposition =
         transport_->OnWireDelivery(m, clock_.now());
     if (disposition == ReliableTransport::Disposition::kDeliverFirst) {
@@ -557,7 +559,7 @@ void SimNetwork::CheckpointPeer(SymbolId peer) {
 
 void SimNetwork::WalAppend(SymbolId peer, const Message& message) {
   SnapshotWriter w;
-  EncodeMessage(message, w);
+  EncodeMessage(message, kRawIds, w);
   store_.Append(WalKey(peer), w.Take());
   ++wal_len_[peer];
   ++stats_.wal_records;

@@ -5,7 +5,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "datalog/qsq_rewrite.h"
-#include "dist/snapshot.h"
+#include "dist/wire_codec.h"
 
 namespace dqsq::dist {
 
@@ -414,48 +414,6 @@ void DatalogPeer::MaybeDisengage(Network& network) {
   }
 }
 
-namespace {
-
-void EncodeRelId(const RelId& rel, SnapshotWriter& w) {
-  w.U32(rel.pred);
-  w.U32(rel.peer);
-}
-
-RelId DecodeRelId(SnapshotReader& r) {
-  RelId rel;
-  rel.pred = r.U32();
-  rel.peer = r.U32();
-  return rel;
-}
-
-void EncodePeerTuple(std::span<const TermId> t, SnapshotWriter& w) {
-  w.U64(t.size());
-  for (TermId id : t) w.U32(id);
-}
-
-Tuple DecodePeerTuple(SnapshotReader& r) {
-  uint64_t n = r.U64();
-  Tuple t;
-  t.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) t.push_back(r.U32());
-  return t;
-}
-
-void EncodeAdornmentBits(const Adornment& a, SnapshotWriter& w) {
-  w.U64(a.size());
-  for (bool b : a) w.Bool(b);
-}
-
-Adornment DecodeAdornmentBits(SnapshotReader& r) {
-  uint64_t n = r.U64();
-  Adornment a;
-  a.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) a.push_back(r.Bool());
-  return a;
-}
-
-}  // namespace
-
 std::string DatalogPeer::SaveState() const {
   SnapshotWriter w;
   // Dijkstra–Scholten engagement: a restarted peer resumes exactly the
@@ -464,47 +422,47 @@ std::string DatalogPeer::SaveState() const {
   w.Bool(ds_.engaged());
   w.U64(ds_.deficit());
   w.U32(ds_.parent());
-  w.U64(program_.rules.size());
-  for (const Rule& rule : program_.rules) EncodeRule(rule, w);
-  w.U64(source_rules_.rules.size());
-  for (const Rule& rule : source_rules_.rules) EncodeRule(rule, w);
+  w.Count(program_.rules.size());
+  for (const Rule& rule : program_.rules) EncodeRule(rule, kRawIds, w);
+  w.Count(source_rules_.rules.size());
+  for (const Rule& rule : source_rules_.rules) EncodeRule(rule, kRawIds, w);
   // Relations sorted by (pred, peer); rows in insertion order, which the
   // ship watermarks in shipped_ index into.
   std::vector<RelId> rels = db_.Relations();
   std::sort(rels.begin(), rels.end());
-  w.U64(rels.size());
+  w.Count(rels.size());
   for (const RelId& rel : rels) {
-    EncodeRelId(rel, w);
+    EncodeRel(rel, kRawIds, w);
     const Relation* relation = db_.Find(rel);
-    w.U64(relation->size());
+    w.Count(relation->size());
     for (size_t row = 0; row < relation->size(); ++row) {
-      EncodePeerTuple(relation->Row(row), w);
+      EncodeTuple(relation->Row(row), kRawIds, w);
     }
   }
-  w.U64(active_.size());
-  for (const RelId& rel : active_) EncodeRelId(rel, w);
-  w.U64(subscribers_.size());
+  w.Count(active_.size());
+  for (const RelId& rel : active_) EncodeRel(rel, kRawIds, w);
+  w.Count(subscribers_.size());
   for (const auto& [rel, subs] : subscribers_) {
-    EncodeRelId(rel, w);
-    w.U64(subs.size());
+    EncodeRel(rel, kRawIds, w);
+    w.Count(subs.size());
     for (SymbolId sub : subs) w.U32(sub);
   }
-  w.U64(shipped_.size());
+  w.Count(shipped_.size());
   for (const auto& [key, watermark] : shipped_) {
-    EncodeRelId(key.first, w);
+    EncodeRel(key.first, kRawIds, w);
     w.U32(key.second);
     w.U64(watermark);
   }
-  w.U64(received_.size());
+  w.Count(received_.size());
   for (const auto& [rel, tuples] : received_) {
-    EncodeRelId(rel, w);
-    w.U64(tuples.size());
-    for (const Tuple& t : tuples) EncodePeerTuple(t, w);
+    EncodeRel(rel, kRawIds, w);
+    w.Count(tuples.size());
+    for (const Tuple& t : tuples) EncodeTuple(t, kRawIds, w);
   }
-  w.U64(rewritten_.size());
+  w.Count(rewritten_.size());
   for (const auto& [pred, adornment] : rewritten_) {
     w.U32(pred);
-    EncodeAdornmentBits(adornment, w);
+    EncodeAdornment(adornment, w);
   }
   return w.Take();
 }
@@ -517,52 +475,46 @@ void DatalogPeer::RestoreState(const std::string& state) {
   uint64_t deficit = r.U64();
   NodeId parent = r.U32();
   ds_.RestoreState(engaged, deficit, parent);
-  uint64_t n = r.U64();
-  program_.rules.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) program_.rules.push_back(DecodeRule(r));
-  n = r.U64();
-  source_rules_.rules.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    source_rules_.rules.push_back(DecodeRule(r));
-  }
-  n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
-    RelId rel = DecodeRelId(r);
-    uint64_t rows = r.U64();
+  program_.rules = r.Seq([&] { return DecodeRule(r, kRawIds); });
+  source_rules_.rules = r.Seq([&] { return DecodeRule(r, kRawIds); });
+  uint32_t n = r.Count();
+  for (uint32_t i = 0; i < n; ++i) {
+    RelId rel = DecodeRel(r, kRawIds);
+    uint32_t rows = r.Count();
     // GetOrCreate materializes empty relations too — their existence (and
     // row order in non-empty ones) must survive the round trip exactly,
     // since ship watermarks index into it.
     db_.GetOrCreate(rel).Reserve(rows);
-    for (uint64_t row = 0; row < rows; ++row) {
-      db_.Insert(rel, DecodePeerTuple(r));
+    for (uint32_t row = 0; row < rows; ++row) {
+      db_.Insert(rel, DecodeTuple(r, kRawIds));
     }
   }
-  n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) active_.insert(DecodeRelId(r));
-  n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
-    RelId rel = DecodeRelId(r);
-    uint64_t subs = r.U64();
+  n = r.Count();
+  for (uint32_t i = 0; i < n; ++i) active_.insert(DecodeRel(r, kRawIds));
+  n = r.Count();
+  for (uint32_t i = 0; i < n; ++i) {
+    RelId rel = DecodeRel(r, kRawIds);
+    uint32_t subs = r.Count();
     auto& set = subscribers_[rel];
-    for (uint64_t j = 0; j < subs; ++j) set.insert(r.U32());
+    for (uint32_t j = 0; j < subs; ++j) set.insert(r.U32());
   }
-  n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
-    RelId rel = DecodeRelId(r);
+  n = r.Count();
+  for (uint32_t i = 0; i < n; ++i) {
+    RelId rel = DecodeRel(r, kRawIds);
     SymbolId target = r.U32();
     shipped_[{rel, target}] = r.U64();
   }
-  n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
-    RelId rel = DecodeRelId(r);
-    uint64_t tuples = r.U64();
+  n = r.Count();
+  for (uint32_t i = 0; i < n; ++i) {
+    RelId rel = DecodeRel(r, kRawIds);
+    uint32_t tuples = r.Count();
     auto& set = received_[rel];
-    for (uint64_t j = 0; j < tuples; ++j) set.insert(DecodePeerTuple(r));
+    for (uint32_t j = 0; j < tuples; ++j) set.insert(DecodeTuple(r, kRawIds));
   }
-  n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
+  n = r.Count();
+  for (uint32_t i = 0; i < n; ++i) {
     PredicateId pred = r.U32();
-    rewritten_.emplace(pred, DecodeAdornmentBits(r));
+    rewritten_.emplace(pred, DecodeAdornment(r));
   }
   DQSQ_CHECK(r.AtEnd()) << "trailing bytes after peer state";
   Metric(kRestores).Increment();

@@ -4,6 +4,7 @@
 #include <iterator>
 
 #include "common/logging.h"
+#include "dist/wire_codec.h"
 
 namespace dqsq::dist {
 
@@ -484,14 +485,14 @@ std::string ReliableTransport::ProtocolImage(SymbolId peer) const {
       outstanding[seq] = &entry.copy;
     }
     for (const Message& m : sender.pending) outstanding[m.seq] = &m;
-    w.U64(outstanding.size());
+    w.Count(outstanding.size());
     for (const auto& [seq, m] : outstanding) {
       Message scrubbed = *m;
       scrubbed.ack = 0;
       scrubbed.sack.clear();
       scrubbed.retransmit = false;
       scrubbed.epoch = 0;
-      EncodeMessage(scrubbed, w);
+      EncodeMessage(scrubbed, kRawIds, w);
     }
   }
   for (const auto& [channel, receiver] : receivers_) {
@@ -499,7 +500,7 @@ std::string ReliableTransport::ProtocolImage(SymbolId peer) const {
     w.U8(2);  // receiver-channel tag
     w.U32(channel.first);
     w.U64(receiver.cum);
-    w.U64(receiver.out_of_order.size());
+    w.Count(receiver.out_of_order.size());
     for (uint64_t seq : receiver.out_of_order) w.U64(seq);
   }
   return w.Take();

@@ -17,9 +17,12 @@
 // numbers, same payloads), which is CHECKed at restart.
 //
 // The serialization is a little-endian byte codec with no alignment or
-// versioning — snapshots live only as long as the simulation process, so
-// byte-stability within a build (serialize∘deserialize∘serialize is the
-// identity) is the contract, not cross-version compatibility.
+// versioning. Messages — write-ahead log records and the unacked/pending
+// queues below — use the shared message layout of dist/wire_codec.h with
+// raw ids (kRawIds). Snapshots live only as long as the simulation
+// process, so byte-stability within a build (serialize∘deserialize∘
+// serialize is the identity) is the contract, not cross-version
+// compatibility.
 #ifndef DQSQ_DIST_SNAPSHOT_H_
 #define DQSQ_DIST_SNAPSHOT_H_
 
@@ -42,6 +45,8 @@ class SnapshotWriter {
   void U64(uint64_t v);
   void Bool(bool v) { U8(v ? 1 : 0); }
   void Str(std::string_view s);
+  /// Element count of a following sequence, as a U32.
+  void Count(size_t n);
 
   const std::string& bytes() const { return out_; }
   std::string Take() { return std::move(out_); }
@@ -61,6 +66,20 @@ class SnapshotReader {
   uint64_t U64();
   bool Bool() { return U8() != 0; }
   std::string Str();
+  /// Reads a Count. Every counted element takes at least one byte, so a
+  /// count beyond the bytes left is truncation; it aborts before the
+  /// caller can reserve space for it.
+  uint32_t Count();
+
+  /// Reads a Count, then that many elements, each with `read_one`.
+  template <typename ReadOne>
+  auto Seq(ReadOne read_one) {
+    std::vector<decltype(read_one())> out;
+    const uint32_t n = Count();
+    out.reserve(n);
+    for (uint32_t i = 0; i < n; ++i) out.push_back(read_one());
+    return out;
+  }
 
   bool AtEnd() const { return pos_ == in_.size(); }
 
@@ -68,16 +87,6 @@ class SnapshotReader {
   std::string_view in_;
   size_t pos_ = 0;
 };
-
-// Codec for the datalog payload types carried by messages (patterns,
-// rules) and for full wire messages — the write-ahead log stores every
-// delivered message verbatim.
-void EncodePattern(const Pattern& p, SnapshotWriter& w);
-Pattern DecodePattern(SnapshotReader& r);
-void EncodeRule(const Rule& rule, SnapshotWriter& w);
-Rule DecodeRule(SnapshotReader& r);
-void EncodeMessage(const Message& m, SnapshotWriter& w);
-Message DecodeMessage(SnapshotReader& r);
 
 /// Sender half of one directed transport channel owned by the snapshotted
 /// peer. Only protocol state is persisted: retransmit timers, backoff and

@@ -8,137 +8,74 @@ namespace dqsq::dist {
 
 namespace {
 
-// ---- Symbolic building blocks. Every identifier travels as a name and is
-// re-interned by the decoder, so the two contexts never need to agree on
-// ids — only on the program text they were grown from.
+// ---- Identifier leaves: the only place the two modes differ.
 
-void EncodeSymbol(SymbolId id, const DatalogContext& ctx, SnapshotWriter& w) {
-  w.Str(ctx.symbols().Name(id));
-}
-
-SymbolId DecodeSymbol(SnapshotReader& r, DatalogContext& ctx) {
-  return ctx.symbols().Intern(r.Str());
-}
-
-void EncodeRel(const RelId& rel, const DatalogContext& ctx,
-               SnapshotWriter& w) {
-  w.Str(ctx.PredicateName(rel.pred));
-  w.U32(ctx.PredicateArity(rel.pred));
-  EncodeSymbol(rel.peer, ctx, w);
-}
-
-RelId DecodeRel(SnapshotReader& r, DatalogContext& ctx) {
-  std::string pred = r.Str();
-  uint32_t arity = r.U32();
-  RelId rel;
-  rel.pred = ctx.InternPredicate(pred, arity);
-  rel.peer = DecodeSymbol(r, ctx);
-  return rel;
-}
-
-void EncodeWirePattern(const Pattern& p, const DatalogContext& ctx,
-                       SnapshotWriter& w) {
-  w.U8(static_cast<uint8_t>(p.kind()));
-  switch (p.kind()) {
-    case Pattern::Kind::kVar:
-      w.U32(p.var());
-      return;
-    case Pattern::Kind::kConst:
-      EncodeSymbol(p.symbol(), ctx, w);
-      return;
-    case Pattern::Kind::kApp:
-      EncodeSymbol(p.symbol(), ctx, w);
-      w.U32(static_cast<uint32_t>(p.args().size()));
-      for (const Pattern& a : p.args()) EncodeWirePattern(a, ctx, w);
-      return;
+void EncodeSymbol(SymbolId id, const DatalogContext* ctx, SnapshotWriter& w) {
+  if (ctx == nullptr) {
+    w.U32(id);
+  } else {
+    w.Str(ctx->symbols().Name(id));
   }
-  DQSQ_CHECK(false) << "unencodable pattern kind";
 }
 
-Pattern DecodeWirePattern(SnapshotReader& r, DatalogContext& ctx) {
+SymbolId DecodeSymbol(SnapshotReader& r, DatalogContext* ctx) {
+  return ctx == nullptr ? r.U32() : ctx->symbols().Intern(r.Str());
+}
+
+void CheckDepth(uint32_t depth) {
+  DQSQ_CHECK_LE(depth, kMaxTermDepth)
+      << "corrupt message: term nested deeper than " << kMaxTermDepth;
+}
+
+TermId DecodeTermAt(SnapshotReader& r, DatalogContext* ctx, uint32_t depth) {
+  if (ctx == nullptr) return r.U32();
+  CheckDepth(depth);
+  const bool app = r.U8() != 0;
+  const SymbolId symbol = DecodeSymbol(r, ctx);
+  if (!app) return ctx->arena().MakeConstant(symbol);
+  const std::vector<TermId> args =
+      r.Seq([&] { return DecodeTermAt(r, ctx, depth + 1); });
+  return ctx->arena().MakeApp(symbol, args);
+}
+
+// ---- The layout.
+
+Pattern DecodePatternAt(SnapshotReader& r, DatalogContext* ctx,
+                        uint32_t depth) {
+  CheckDepth(depth);
   switch (static_cast<Pattern::Kind>(r.U8())) {
     case Pattern::Kind::kVar:
       return Pattern::Var(r.U32());
     case Pattern::Kind::kConst:
       return Pattern::Const(DecodeSymbol(r, ctx));
     case Pattern::Kind::kApp: {
-      SymbolId fn = DecodeSymbol(r, ctx);
-      uint32_t n = r.U32();
-      std::vector<Pattern> args;
-      args.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        args.push_back(DecodeWirePattern(r, ctx));
-      }
-      return Pattern::App(fn, std::move(args));
+      const SymbolId fn = DecodeSymbol(r, ctx);
+      return Pattern::App(
+          fn, r.Seq([&] { return DecodePatternAt(r, ctx, depth + 1); }));
     }
   }
-  DQSQ_CHECK(false) << "corrupt pattern kind on the wire";
+  DQSQ_CHECK(false) << "corrupt pattern kind";
   return Pattern::Const(0);
 }
 
-void EncodeWireAtom(const Atom& atom, const DatalogContext& ctx,
-                    SnapshotWriter& w) {
+void EncodeAtom(const Atom& atom, const DatalogContext* ctx,
+                SnapshotWriter& w) {
   EncodeRel(atom.rel, ctx, w);
-  w.U32(static_cast<uint32_t>(atom.args.size()));
-  for (const Pattern& p : atom.args) EncodeWirePattern(p, ctx, w);
+  w.Count(atom.args.size());
+  for (const Pattern& p : atom.args) EncodePattern(p, ctx, w);
 }
 
-Atom DecodeWireAtom(SnapshotReader& r, DatalogContext& ctx) {
+Atom DecodeAtom(SnapshotReader& r, DatalogContext* ctx) {
   Atom atom;
   atom.rel = DecodeRel(r, ctx);
-  uint32_t n = r.U32();
-  atom.args.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    atom.args.push_back(DecodeWirePattern(r, ctx));
-  }
+  atom.args = r.Seq([&] { return DecodePattern(r, ctx); });
   return atom;
 }
 
-void EncodeWireRule(const Rule& rule, const DatalogContext& ctx,
-                    SnapshotWriter& w) {
-  EncodeWireAtom(rule.head, ctx, w);
-  w.U32(static_cast<uint32_t>(rule.body.size()));
-  for (const Atom& a : rule.body) EncodeWireAtom(a, ctx, w);
-  w.U32(static_cast<uint32_t>(rule.negative.size()));
-  for (const Atom& a : rule.negative) EncodeWireAtom(a, ctx, w);
-  w.U32(static_cast<uint32_t>(rule.diseqs.size()));
-  for (const Diseq& d : rule.diseqs) {
-    EncodeWirePattern(d.lhs, ctx, w);
-    EncodeWirePattern(d.rhs, ctx, w);
-  }
-  w.U32(rule.num_vars);
-  const std::vector<std::string>& names = VarNameList(rule.var_names);
-  w.U32(static_cast<uint32_t>(names.size()));
-  for (const std::string& name : names) w.Str(name);
-}
-
-Rule DecodeWireRule(SnapshotReader& r, DatalogContext& ctx) {
-  Rule rule;
-  rule.head = DecodeWireAtom(r, ctx);
-  uint32_t n = r.U32();
-  rule.body.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) rule.body.push_back(DecodeWireAtom(r, ctx));
-  n = r.U32();
-  rule.negative.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    rule.negative.push_back(DecodeWireAtom(r, ctx));
-  }
-  n = r.U32();
-  rule.diseqs.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    Diseq d;
-    d.lhs = DecodeWirePattern(r, ctx);
-    d.rhs = DecodeWirePattern(r, ctx);
-    rule.diseqs.push_back(std::move(d));
-  }
-  rule.num_vars = r.U32();
-  n = r.U32();
-  std::vector<std::string> names;
-  names.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) names.push_back(r.Str());
-  rule.var_names =
-      std::make_shared<const std::vector<std::string>>(std::move(names));
-  return rule;
+void EncodeTuples(const std::vector<Tuple>& tuples, const DatalogContext* ctx,
+                  SnapshotWriter& w) {
+  w.Count(tuples.size());
+  for (const Tuple& t : tuples) EncodeTuple(t, ctx, w);
 }
 
 /// True for kinds whose `rel` field is meaningful (the default-constructed
@@ -150,54 +87,141 @@ bool HasRel(MessageKind kind) {
 
 }  // namespace
 
-void EncodeWireTerm(TermId term, const DatalogContext& ctx,
-                    SnapshotWriter& w) {
-  const TermArena& arena = ctx.arena();
-  if (arena.IsApp(term)) {
-    w.U8(1);
-    EncodeSymbol(arena.Symbol(term), ctx, w);
-    auto args = arena.Args(term);
-    w.U32(static_cast<uint32_t>(args.size()));
-    for (TermId a : args) EncodeWireTerm(a, ctx, w);
+void EncodeRel(const RelId& rel, const DatalogContext* ctx,
+               SnapshotWriter& w) {
+  if (ctx == nullptr) {
+    w.U32(rel.pred);
   } else {
-    w.U8(0);
-    EncodeSymbol(arena.Symbol(term), ctx, w);
+    w.Str(ctx->PredicateName(rel.pred));
+    w.U32(ctx->PredicateArity(rel.pred));
   }
+  EncodeSymbol(rel.peer, ctx, w);
 }
 
-TermId DecodeWireTerm(SnapshotReader& r, DatalogContext& ctx) {
-  if (r.U8() == 0) {
-    return ctx.arena().MakeConstant(DecodeSymbol(r, ctx));
+RelId DecodeRel(SnapshotReader& r, DatalogContext* ctx) {
+  RelId rel;
+  if (ctx == nullptr) {
+    rel.pred = r.U32();
+  } else {
+    std::string pred = r.Str();
+    rel.pred = ctx->InternPredicate(pred, r.U32());
   }
-  SymbolId fn = DecodeSymbol(r, ctx);
-  uint32_t n = r.U32();
-  std::vector<TermId> args;
-  args.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) args.push_back(DecodeWireTerm(r, ctx));
-  return ctx.arena().MakeApp(fn, args);
+  rel.peer = DecodeSymbol(r, ctx);
+  return rel;
 }
 
-std::string EncodeWireMessage(const Message& m, const DatalogContext& ctx) {
-  SnapshotWriter w;
+void EncodeTerm(TermId term, const DatalogContext* ctx, SnapshotWriter& w) {
+  if (ctx == nullptr) {
+    w.U32(term);
+    return;
+  }
+  const TermArena& arena = ctx->arena();
+  const bool app = arena.IsApp(term);
+  w.U8(app ? 1 : 0);
+  EncodeSymbol(arena.Symbol(term), ctx, w);
+  if (!app) return;
+  auto args = arena.Args(term);
+  w.Count(args.size());
+  for (TermId a : args) EncodeTerm(a, ctx, w);
+}
+
+TermId DecodeTerm(SnapshotReader& r, DatalogContext* ctx) {
+  return DecodeTermAt(r, ctx, 1);
+}
+
+void EncodeTuple(const Tuple& t, const DatalogContext* ctx,
+                 SnapshotWriter& w) {
+  w.Count(t.size());
+  for (TermId term : t) EncodeTerm(term, ctx, w);
+}
+
+Tuple DecodeTuple(SnapshotReader& r, DatalogContext* ctx) {
+  return r.Seq([&] { return DecodeTerm(r, ctx); });
+}
+
+void EncodeAdornment(const std::vector<bool>& adornment, SnapshotWriter& w) {
+  w.Count(adornment.size());
+  for (bool b : adornment) w.Bool(b);
+}
+
+std::vector<bool> DecodeAdornment(SnapshotReader& r) {
+  return r.Seq([&] { return r.Bool(); });
+}
+
+void EncodePattern(const Pattern& p, const DatalogContext* ctx,
+                   SnapshotWriter& w) {
+  w.U8(static_cast<uint8_t>(p.kind()));
+  switch (p.kind()) {
+    case Pattern::Kind::kVar:
+      w.U32(p.var());
+      return;
+    case Pattern::Kind::kConst:
+      EncodeSymbol(p.symbol(), ctx, w);
+      return;
+    case Pattern::Kind::kApp:
+      EncodeSymbol(p.symbol(), ctx, w);
+      w.Count(p.args().size());
+      for (const Pattern& a : p.args()) EncodePattern(a, ctx, w);
+      return;
+  }
+  DQSQ_CHECK(false) << "unencodable pattern kind";
+}
+
+Pattern DecodePattern(SnapshotReader& r, DatalogContext* ctx) {
+  return DecodePatternAt(r, ctx, 1);
+}
+
+void EncodeRule(const Rule& rule, const DatalogContext* ctx,
+                SnapshotWriter& w) {
+  EncodeAtom(rule.head, ctx, w);
+  w.Count(rule.body.size());
+  for (const Atom& a : rule.body) EncodeAtom(a, ctx, w);
+  w.Count(rule.negative.size());
+  for (const Atom& a : rule.negative) EncodeAtom(a, ctx, w);
+  w.Count(rule.diseqs.size());
+  for (const Diseq& d : rule.diseqs) {
+    EncodePattern(d.lhs, ctx, w);
+    EncodePattern(d.rhs, ctx, w);
+  }
+  w.U32(rule.num_vars);
+  const std::vector<std::string>& names = VarNameList(rule.var_names);
+  w.Count(names.size());
+  for (const std::string& name : names) w.Str(name);
+}
+
+Rule DecodeRule(SnapshotReader& r, DatalogContext* ctx) {
+  Rule rule;
+  rule.head = DecodeAtom(r, ctx);
+  rule.body = r.Seq([&] { return DecodeAtom(r, ctx); });
+  rule.negative = r.Seq([&] { return DecodeAtom(r, ctx); });
+  rule.diseqs = r.Seq([&] {
+    Diseq d;
+    d.lhs = DecodePattern(r, ctx);
+    d.rhs = DecodePattern(r, ctx);
+    return d;
+  });
+  rule.num_vars = r.U32();
+  rule.var_names = std::make_shared<const std::vector<std::string>>(
+      r.Seq([&] { return r.Str(); }));
+  return rule;
+}
+
+void EncodeMessage(const Message& m, const DatalogContext* ctx,
+                   SnapshotWriter& w) {
   w.U8(static_cast<uint8_t>(m.kind));
   EncodeSymbol(m.from, ctx, w);
   EncodeSymbol(m.to, ctx, w);
   if (HasRel(m.kind)) EncodeRel(m.rel, ctx, w);
-  w.U32(static_cast<uint32_t>(m.tuples.size()));
-  for (const Tuple& t : m.tuples) {
-    w.U32(static_cast<uint32_t>(t.size()));
-    for (TermId term : t) EncodeWireTerm(term, ctx, w);
-  }
+  EncodeTuples(m.tuples, ctx, w);
   if (m.kind == MessageKind::kActivate) EncodeSymbol(m.subscriber, ctx, w);
-  w.U32(static_cast<uint32_t>(m.adornment.size()));
-  for (bool b : m.adornment) w.Bool(b);
-  w.U32(static_cast<uint32_t>(m.rules.size()));
-  for (const Rule& rule : m.rules) EncodeWireRule(rule, ctx, w);
+  EncodeAdornment(m.adornment, w);
+  w.Count(m.rules.size());
+  for (const Rule& rule : m.rules) EncodeRule(rule, ctx, w);
   // Transport envelope, verbatim: sequence numbers and epochs are
   // channel-local protocol state, not arena identifiers.
   w.U64(m.seq);
   w.U64(m.ack);
-  w.U32(static_cast<uint32_t>(m.sack.size()));
+  w.Count(m.sack.size());
   for (const SackBlock& s : m.sack) {
     w.U64(s.first);
     w.U64(s.last);
@@ -210,78 +234,46 @@ std::string EncodeWireMessage(const Message& m, const DatalogContext& ctx) {
   w.U8(flags);
   w.U64(m.epoch);
   if (!m.sections.empty()) {
-    w.U32(static_cast<uint32_t>(m.sections.size()));
+    w.Count(m.sections.size());
     for (const TupleSection& s : m.sections) {
       EncodeRel(s.rel, ctx, w);
-      w.U32(static_cast<uint32_t>(s.tuples.size()));
-      for (const Tuple& t : s.tuples) {
-        w.U32(static_cast<uint32_t>(t.size()));
-        for (TermId term : t) EncodeWireTerm(term, ctx, w);
-      }
+      EncodeTuples(s.tuples, ctx, w);
     }
   }
-  return w.Take();
 }
 
-Message DecodeWireMessage(std::string_view payload, DatalogContext& ctx) {
-  SnapshotReader r(payload);
+Message DecodeMessage(SnapshotReader& r, DatalogContext* ctx) {
+  auto read_tuples = [&] {
+    return r.Seq([&] { return DecodeTuple(r, ctx); });
+  };
   Message m;
   m.kind = static_cast<MessageKind>(r.U8());
   m.from = DecodeSymbol(r, ctx);
   m.to = DecodeSymbol(r, ctx);
   if (HasRel(m.kind)) m.rel = DecodeRel(r, ctx);
-  uint32_t n = r.U32();
-  m.tuples.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t arity = r.U32();
-    Tuple t;
-    t.reserve(arity);
-    for (uint32_t j = 0; j < arity; ++j) {
-      t.push_back(DecodeWireTerm(r, ctx));
-    }
-    m.tuples.push_back(std::move(t));
-  }
+  m.tuples = read_tuples();
   if (m.kind == MessageKind::kActivate) m.subscriber = DecodeSymbol(r, ctx);
-  n = r.U32();
-  m.adornment.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) m.adornment.push_back(r.Bool());
-  n = r.U32();
-  m.rules.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) m.rules.push_back(DecodeWireRule(r, ctx));
+  m.adornment = DecodeAdornment(r);
+  m.rules = r.Seq([&] { return DecodeRule(r, ctx); });
   m.seq = r.U64();
   m.ack = r.U64();
-  n = r.U32();
-  m.sack.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
+  m.sack = r.Seq([&] {
     SackBlock s;
     s.first = r.U64();
     s.last = r.U64();
-    m.sack.push_back(s);
-  }
-  uint8_t flags = r.U8();
+    return s;
+  });
+  const uint8_t flags = r.U8();
   m.retransmit = (flags & 1) != 0;
   m.epoch = r.U64();
   if ((flags & 4) != 0) {
-    uint32_t sections = r.U32();
-    m.sections.reserve(sections);
-    for (uint32_t i = 0; i < sections; ++i) {
+    m.sections = r.Seq([&] {
       TupleSection s;
       s.rel = DecodeRel(r, ctx);
-      uint32_t rows = r.U32();
-      s.tuples.reserve(rows);
-      for (uint32_t j = 0; j < rows; ++j) {
-        uint32_t arity = r.U32();
-        Tuple t;
-        t.reserve(arity);
-        for (uint32_t k = 0; k < arity; ++k) {
-          t.push_back(DecodeWireTerm(r, ctx));
-        }
-        s.tuples.push_back(std::move(t));
-      }
-      m.sections.push_back(std::move(s));
-    }
+      s.tuples = read_tuples();
+      return s;
+    });
   }
-  DQSQ_CHECK(r.AtEnd()) << "trailing bytes after wire message";
   return m;
 }
 

@@ -1,16 +1,21 @@
-// Cross-process wire format for dDatalog peer messages.
+// The one byte layout of dDatalog peer messages, and the framing that
+// carries it over TCP.
 //
-// Two layers:
-//
-//  * A *symbolic* message codec. The in-process snapshot codec
-//    (dist/snapshot.h) persists raw SymbolId / PredicateId / TermId values,
-//    which are only meaningful inside the DatalogContext that interned
-//    them. Across OS processes no such shared arena exists, so the wire
-//    codec encodes every identifier by name — peers, predicates (with
-//    arity), constants and function terms (recursively) — and the decoder
-//    re-interns them into the receiving context. Two processes that parsed
-//    different fragments of the same program therefore exchange messages
-//    that mean the same thing, regardless of interning order.
+//  * A *message codec*: one layout for Message, Rule, Atom, Pattern, term
+//    and tuple, written once. Only the identifiers (symbols, relations,
+//    ground terms) are written two ways, chosen by the context argument:
+//     - a DatalogContext: every identifier travels as a name — peers,
+//       predicates (with arity), constants and function terms
+//       (recursively) — and the decoder re-interns it into the receiving
+//       context. SocketNetwork uses this for bytes that cross processes:
+//       two processes that parsed different fragments of the same program
+//       exchange messages that mean the same thing, whatever their
+//       interning order.
+//     - kRawIds: raw SymbolId / PredicateId / TermId values, meaningful
+//       only inside the context that interned them. Bytes the writing
+//       process reads back itself use this: SimNetwork's write-ahead log,
+//       the unacked/pending queues of a PeerSnapshot,
+//       ReliableTransport::ProtocolImage and DatalogPeer::SaveState.
 //
 //  * Length-prefixed *framing* over a byte stream (TCP). Each frame is
 //      magic(4) | type(1) | payload_len(4) | fnv1a(payload)(4) | payload
@@ -21,9 +26,10 @@
 //
 // Trust model: frames are integrity-checked (length bound + checksum)
 // before the payload decoder runs, so framing survives line noise and
-// truncated peers; the payload decoder itself assumes a well-formed
-// payload from a cooperating peer and CHECK-fails on structural garbage,
-// exactly like the snapshot codec it mirrors.
+// truncated peers. The decoder bounds what a payload can make it do —
+// term and pattern nesting stop at kMaxTermDepth and no count may exceed
+// the bytes left — but it assumes a well-formed payload from a
+// cooperating peer and CHECK-fails on structural garbage.
 #ifndef DQSQ_DIST_WIRE_CODEC_H_
 #define DQSQ_DIST_WIRE_CODEC_H_
 
@@ -31,33 +37,49 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "datalog/ast.h"
+#include "datalog/relation.h"
 #include "dist/message.h"
 #include "dist/snapshot.h"
 
 namespace dqsq::dist {
 
-// ---- Symbolic payload codec ----------------------------------------------
+// ---- Message codec -------------------------------------------------------
 
-/// Encodes `m` so any process can decode it: identifiers travel as names.
-/// The transport envelope (seq/ack/sack/retransmit/epoch) is carried
-/// verbatim, so a reliability shim or the crash machinery can run over
-/// this codec unchanged.
-std::string EncodeWireMessage(const Message& m, const DatalogContext& ctx);
+/// The context argument that writes and reads raw ids instead of names.
+inline constexpr DatalogContext* kRawIds = nullptr;
 
-/// Decodes an EncodeWireMessage payload, interning every name into `ctx`.
-Message DecodeWireMessage(std::string_view payload, DatalogContext& ctx);
-
-/// Symbolic term codec, exposed for report payloads and tests.
-void EncodeWireTerm(TermId term, const DatalogContext& ctx, SnapshotWriter& w);
-TermId DecodeWireTerm(SnapshotReader& r, DatalogContext& ctx);
+/// Encoders write identifiers by name through `ctx`, or as raw ids when
+/// `ctx` is kRawIds; decoders read them back the same way, interning names
+/// into `ctx`. Each decoder leaves the reader just past what it read; the
+/// caller checks for trailing bytes.
+void EncodeMessage(const Message& m, const DatalogContext* ctx,
+                   SnapshotWriter& w);
+Message DecodeMessage(SnapshotReader& r, DatalogContext* ctx);
+void EncodeRule(const Rule& rule, const DatalogContext* ctx,
+                SnapshotWriter& w);
+Rule DecodeRule(SnapshotReader& r, DatalogContext* ctx);
+void EncodePattern(const Pattern& p, const DatalogContext* ctx,
+                   SnapshotWriter& w);
+Pattern DecodePattern(SnapshotReader& r, DatalogContext* ctx);
+void EncodeTerm(TermId term, const DatalogContext* ctx, SnapshotWriter& w);
+TermId DecodeTerm(SnapshotReader& r, DatalogContext* ctx);
+void EncodeTuple(const Tuple& t, const DatalogContext* ctx,
+                 SnapshotWriter& w);
+Tuple DecodeTuple(SnapshotReader& r, DatalogContext* ctx);
+void EncodeRel(const RelId& rel, const DatalogContext* ctx,
+               SnapshotWriter& w);
+RelId DecodeRel(SnapshotReader& r, DatalogContext* ctx);
+void EncodeAdornment(const std::vector<bool>& adornment, SnapshotWriter& w);
+std::vector<bool> DecodeAdornment(SnapshotReader& r);
 
 // ---- Framing -------------------------------------------------------------
 
-/// Frame type tags. kPeerMessage carries an EncodeWireMessage payload; the
-/// rest form the cluster control plane (dist/cluster_main.cc): bootstrap
+/// Frame type tags. kPeerMessage carries a by-name EncodeMessage payload;
+/// the rest form the cluster control plane (dist/cluster_main.cc): bootstrap
 /// hellos, the supervisor's start/report/shutdown requests and their
 /// replies. Payload schemas for control frames are owned by cluster_main.
 enum class FrameType : uint8_t {

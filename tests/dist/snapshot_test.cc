@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "dist/reliable.h"
+#include "dist/wire_codec.h"
 
 namespace dqsq::dist {
 namespace {
@@ -46,14 +47,24 @@ TEST(SnapshotCodecDeathTest, TruncatedReadAborts) {
   EXPECT_DEATH((void)r.U64(), "truncated");
 }
 
+TEST(SnapshotCodecDeathTest, StringLengthNearOverflowAborts) {
+  // pos + length would wrap around; the length is checked against the
+  // bytes left instead.
+  SnapshotWriter w;
+  w.U64(UINT64_MAX - 2);
+  w.Str("abc");
+  SnapshotReader r(w.bytes());
+  EXPECT_DEATH((void)r.Str(), "truncated");
+}
+
 TEST(SnapshotCodecTest, PatternRoundTripsNestedApplications) {
   const Pattern p = Pattern::App(
       7, {Pattern::Var(0), Pattern::Const(3),
           Pattern::App(9, {Pattern::Var(1), Pattern::Const(4)})});
   SnapshotWriter w;
-  EncodePattern(p, w);
+  EncodePattern(p, kRawIds, w);
   SnapshotReader r(w.bytes());
-  const Pattern back = DecodePattern(r);
+  const Pattern back = DecodePattern(r, kRawIds);
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(back, p);
 }
@@ -80,12 +91,12 @@ TEST(SnapshotCodecTest, RuleEncodingIsByteStable) {
           std::vector<std::string>{"X", "Y"});
 
   SnapshotWriter w1;
-  EncodeRule(rule, w1);
+  EncodeRule(rule, kRawIds, w1);
   SnapshotReader r(w1.bytes());
-  const Rule back = DecodeRule(r);
+  const Rule back = DecodeRule(r, kRawIds);
   EXPECT_TRUE(r.AtEnd());
   SnapshotWriter w2;
-  EncodeRule(back, w2);
+  EncodeRule(back, kRawIds, w2);
   EXPECT_EQ(w1.bytes(), w2.bytes());
   EXPECT_EQ(back.head.rel, rule.head.rel);
   EXPECT_EQ(back.body.size(), 1u);
@@ -111,12 +122,12 @@ TEST(SnapshotCodecTest, MessageEncodingCarriesTheFullEnvelope) {
   m.epoch = 3;
 
   SnapshotWriter w1;
-  EncodeMessage(m, w1);
+  EncodeMessage(m, kRawIds, w1);
   SnapshotReader r(w1.bytes());
-  const Message back = DecodeMessage(r);
+  const Message back = DecodeMessage(r, kRawIds);
   EXPECT_TRUE(r.AtEnd());
   SnapshotWriter w2;
-  EncodeMessage(back, w2);
+  EncodeMessage(back, kRawIds, w2);
   EXPECT_EQ(w1.bytes(), w2.bytes());
   EXPECT_EQ(back.kind, m.kind);
   EXPECT_EQ(back.from, m.from);
