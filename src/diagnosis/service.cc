@@ -1,5 +1,7 @@
 #include "diagnosis/service.h"
 
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -68,41 +70,50 @@ uint64_t ModelFingerprint(const petri::PetriNet& net) {
   return h;
 }
 
+/// ObservationPrefixKey of `history` followed by `next` (if not null),
+/// built without copying either: the per-peer alarm subsequences in sorted
+/// peer order — the observation semantics of §4.2, under which the
+/// cross-peer interleaving is irrelevant to the explanations. Each round
+/// selects the next peer in order by a scan over the alarms, so the key
+/// is the only allocation.
+std::string PrefixKey(const petri::AlarmSequence& history,
+                      const petri::Alarm* next) {
+  auto for_each_alarm = [&](auto&& visit) {
+    for (const petri::Alarm& alarm : history) visit(alarm);
+    if (next != nullptr) visit(*next);
+  };
+  size_t bound = 0;  // every alarm adds at most its peer, its symbol and ":,|"
+  for_each_alarm([&](const petri::Alarm& a) {
+    bound += a.peer.size() + a.symbol.size() + 3;
+  });
+  std::string key;
+  key.reserve(bound);
+  const std::string* last = nullptr;
+  while (true) {
+    const std::string* peer = nullptr;
+    for_each_alarm([&](const petri::Alarm& a) {
+      if ((last == nullptr || a.peer > *last) &&
+          (peer == nullptr || a.peer < *peer)) {
+        peer = &a.peer;
+      }
+    });
+    if (peer == nullptr) return key;
+    key += *peer;
+    key += ':';
+    for_each_alarm([&](const petri::Alarm& a) {
+      if (a.peer != *peer) return;
+      key += a.symbol;
+      key += ',';
+    });
+    key += '|';
+    last = peer;
+  }
+}
+
 }  // namespace
 
-void EncodeExplanations(const std::vector<Explanation>& explanations,
-                        dist::SnapshotWriter& w) {
-  w.U32(static_cast<uint32_t>(explanations.size()));
-  for (const Explanation& e : explanations) {
-    w.U32(static_cast<uint32_t>(e.events.size()));
-    for (const std::string& event : e.events) w.Str(event);
-  }
-}
-
-std::vector<Explanation> DecodeExplanations(dist::SnapshotReader& r) {
-  std::vector<Explanation> out(r.U32());
-  for (Explanation& e : out) {
-    e.events.resize(r.U32());
-    for (std::string& event : e.events) event = r.Str();
-  }
-  return out;
-}
-
 std::string ObservationPrefixKey(const petri::AlarmSequence& history) {
-  // SplitByPeer yields the per-peer subsequences in sorted peer order —
-  // the observation semantics of §4.2, under which the cross-peer
-  // interleaving is irrelevant to the explanations.
-  std::string key;
-  for (const auto& [peer, symbols] : petri::SplitByPeer(history)) {
-    key += peer;
-    key += ':';
-    for (const std::string& symbol : symbols) {
-      key += symbol;
-      key += ',';
-    }
-    key += '|';
-  }
-  return key;
+  return PrefixKey(history, nullptr);
 }
 
 DiagnosisService::DiagnosisService(const ServiceOptions& options)
@@ -151,14 +162,15 @@ StatusOr<DiagnosisService::ModelEntry*> DiagnosisService::ResolveModel(
     const Session& s) {
   auto it = models_.find(s.model_name);
   if (it == models_.end()) {
-    return FailedPreconditionError("session " + s.name + " was admitted for "
-                                   "model " + s.model_name +
-                                   ", which is no longer registered");
+    return FailedPreconditionError(
+        "session " + std::string(s.name()) + " was admitted for model " +
+        s.model_name + ", which is no longer registered");
   }
   if (it->second->fingerprint != s.model_fingerprint) {
     return FailedPreconditionError(
-        "session " + s.name + " was admitted for a structurally different "
-        "registration of model " + s.model_name +
+        "session " + std::string(s.name()) +
+        " was admitted for a structurally different registration of model " +
+        s.model_name +
         "; refusing to replay its history into the new plant");
   }
   return it->second.get();
@@ -179,13 +191,8 @@ Status DiagnosisService::OpenSession(const std::string& session,
   if (mit == models_.end()) {
     return NotFoundError("unknown model: " + model);
   }
-  auto s = std::make_unique<Session>();
-  s->name = session;
-  s->model_name = mit->second->name;
-  s->model_fingerprint = mit->second->fingerprint;
-  s->max_facts = options_.session_max_facts;
-  s->diagnoser = std::make_unique<OnlineDiagnoser>(OnlineDiagnoser::CreateShared(
-      mit->second->model, OnlineOptions{s->max_facts}));
+  auto s = std::make_unique<Session>(session, *mit->second,
+                                     options_.session_max_facts);
   s->lru_pos = resident_lru_.insert(resident_lru_.begin(), s.get());
   Session* raw = s.get();
   sessions_.emplace(session, std::move(s));
@@ -202,7 +209,8 @@ Status DiagnosisService::CloseSession(const std::string& session) {
     return NotFoundError("unknown session: " + session);
   }
   Session& s = *it->second;
-  if (s.diagnoser) resident_lru_.erase(s.lru_pos);
+  (s.diagnoser.hibernated() ? hibernated_ : resident_lru_).erase(s.lru_pos);
+  store_->Erase(s.store_key);
   sessions_.erase(it);
   CountMetric("diag.service.sessions_closed");
   UpdateGauge("diag.service.sessions", static_cast<int64_t>(sessions_.size()));
@@ -218,7 +226,7 @@ DiagnosisService::Session* DiagnosisService::FindSession(
 
 bool DiagnosisService::is_resident(const std::string& session) const {
   auto it = sessions_.find(session);
-  return it != sessions_.end() && it->second->diagnoser != nullptr;
+  return it != sessions_.end() && !it->second->diagnoser.hibernated();
 }
 
 StatusOr<size_t> DiagnosisService::NumObserved(
@@ -227,7 +235,7 @@ StatusOr<size_t> DiagnosisService::NumObserved(
   if (it == sessions_.end()) {
     return NotFoundError("unknown session: " + session);
   }
-  return it->second->history.size();
+  return it->second->diagnoser.num_observed();
 }
 
 const SubqueryCache* DiagnosisService::cache(const std::string& model) const {
@@ -239,8 +247,7 @@ Status DiagnosisService::SetSessionBudget(const std::string& session,
                                           size_t max_facts) {
   Session* s = FindSession(session);
   if (s == nullptr) return NotFoundError("unknown session: " + session);
-  s->max_facts = max_facts;
-  if (s->diagnoser) s->diagnoser->set_max_facts(max_facts);
+  s->diagnoser.set_max_facts(max_facts);
   return Status::Ok();
 }
 
@@ -260,32 +267,24 @@ StatusOr<std::vector<Explanation>> DiagnosisService::Observe(
   // Key of the prefix this alarm would produce. An unknown-peer alarm
   // yields a key no successful observation can ever have cached, so the
   // lookup harmlessly misses before the diagnoser rejects the alarm.
-  petri::AlarmSequence next = s->history;
-  next.push_back(alarm);
-  const std::string key = ObservationPrefixKey(next);
+  const std::string key = PrefixKey(s->diagnoser.history(), &alarm);
 
-  std::string blob;
-  if (options_.cache_bytes > 0 && entry->cache.Get(key, &blob)) {
-    dist::SnapshotReader r(blob);
-    std::vector<Explanation> explanations = DecodeExplanations(r);
-    DQSQ_RETURN_IF_ERROR(s->diagnoser->ObserveCached(alarm, explanations));
-    s->history.push_back(alarm);
+  std::string encoded;
+  if (options_.cache_bytes > 0 && entry->cache.Get(key, &encoded)) {
+    DQSQ_RETURN_IF_ERROR(s->diagnoser.ObserveCached(alarm, std::move(encoded)));
     static Counter& hits =
         MetricsRegistry::Global().GetCounter("diag.service.cache_hits");
     hits.Increment();
-    return explanations;
+    return s->diagnoser.Current();  // decodes the cached bytes, once
   }
   static Counter& misses =
       MetricsRegistry::Global().GetCounter("diag.service.cache_misses");
   misses.Increment();
 
-  StatusOr<std::vector<Explanation>> result = s->diagnoser->Observe(alarm);
+  StatusOr<std::vector<Explanation>> result = s->diagnoser.Observe(alarm);
   if (!result.ok()) return result;  // Observe is transactional: no cleanup
-  s->history.push_back(alarm);
   if (options_.cache_bytes > 0) {
-    dist::SnapshotWriter w;
-    EncodeExplanations(*result, w);
-    entry->cache.Put(key, w.Take());
+    entry->cache.Put(key, *s->diagnoser.encoded_current());
   }
   return result;
 }
@@ -296,7 +295,7 @@ StatusOr<std::vector<Explanation>> DiagnosisService::Current(
   if (s == nullptr) return NotFoundError("unknown session: " + session);
   DQSQ_RETURN_IF_ERROR(EnsureResident(*s));
   TouchResident(*s);
-  return s->diagnoser->Current();
+  return s->diagnoser.Current();
 }
 
 Status DiagnosisService::Hibernate(const std::string& session) {
@@ -305,28 +304,38 @@ Status DiagnosisService::Hibernate(const std::string& session) {
   return HibernateSession(*s);
 }
 
-std::string DiagnosisService::SerializeSession(Session& s) {
-  DQSQ_CHECK(s.diagnoser != nullptr);
+std::string DiagnosisService::SerializeSession(const Session& s) {
+  DQSQ_CHECK(!s.diagnoser.hibernated());
+  const petri::AlarmSequence& history = s.diagnoser.history();
+  const std::string* current = s.diagnoser.encoded_current();
+  // Str writes a U64 length before its bytes.
+  size_t size = 8 + s.name().size() + 8 + s.model_name.size() + 8 + 8 + 1;
+  for (const petri::Alarm& alarm : history) {
+    size += 16 + alarm.symbol.size() + alarm.peer.size();
+  }
+  if (current != nullptr) size += current->size();
+
   dist::SnapshotWriter w;
-  w.Str(s.name);
+  w.Reserve(size);
+  w.Str(s.name());
   w.Str(s.model_name);
   w.U64(s.model_fingerprint);
-  w.U64(s.history.size());
-  for (const petri::Alarm& alarm : s.history) {
+  w.U64(history.size());
+  for (const petri::Alarm& alarm : history) {
     w.Str(alarm.symbol);
     w.Str(alarm.peer);
   }
-  const std::vector<Explanation>* current = s.diagnoser->cached_current();
   w.Bool(current != nullptr);
-  if (current != nullptr) EncodeExplanations(*current, w);
-  return w.Take();
+  std::string image = w.Take();
+  if (current != nullptr) image += *current;  // the answer bytes, verbatim
+  return image;
 }
 
 Status DiagnosisService::HibernateSession(Session& s) {
-  if (!s.diagnoser) return Status::Ok();
-  store_->Put(StoreKey(s), SerializeSession(s));
-  resident_lru_.erase(s.lru_pos);
-  s.diagnoser.reset();
+  if (s.diagnoser.hibernated()) return Status::Ok();
+  store_->Put(s.store_key, SerializeSession(s));
+  hibernated_.splice(hibernated_.begin(), resident_lru_, s.lru_pos);
+  s.diagnoser.Hibernate();
   static Counter& hibernated =
       MetricsRegistry::Global().GetCounter("diag.service.sessions_hibernated");
   hibernated.Increment();
@@ -335,48 +344,50 @@ Status DiagnosisService::HibernateSession(Session& s) {
 }
 
 Status DiagnosisService::EnsureResident(Session& s) {
-  if (s.diagnoser) return Status::Ok();
+  if (!s.diagnoser.hibernated()) return Status::Ok();
   // Admission gate for waking: the model named at hibernation time must
   // still be registered with the same structure. A plant redeployed with
   // a different net between hibernate and wake fails cleanly here —
   // replaying the stored history into it would produce explanations for
   // the wrong plant.
   DQSQ_ASSIGN_OR_RETURN(ModelEntry * entry, ResolveModel(s));
-  std::optional<std::string> blob = store_->Get(StoreKey(s));
-  if (!blob.has_value()) {
-    return InternalError("hibernation image missing for session " + s.name);
+  std::optional<std::string> image = store_->Get(s.store_key);
+  if (!image.has_value()) {
+    return InternalError("hibernation image missing for session " +
+                         std::string(s.name()));
   }
-  dist::SnapshotReader r(*blob);
-  const std::string name = r.Str();
-  const std::string model = r.Str();
-  const uint64_t fingerprint = r.U64();
-  const uint64_t n = r.U64();
   // The store is caller-supplied: an image that is not this session's
-  // fails the call, not the process.
+  // fails the call, not the process. The image is checked against the
+  // session in place; only its answer bytes are kept.
   auto foreign = [&] {
-    return InternalError("hibernation image under " + StoreKey(s) +
-                         " is not session " + s.name + "'s");
+    return InternalError("hibernation image under " + s.store_key +
+                         " is not session " + std::string(s.name()) + "'s");
   };
-  if (name != s.name || n != s.history.size()) return foreign();
+  dist::SnapshotReader r(*image);
+  const petri::AlarmSequence& history = s.diagnoser.history();
+  if (r.StrView() != s.name()) return foreign();
+  const std::string_view model = r.StrView();
+  const uint64_t fingerprint = r.U64();
+  if (r.U64() != history.size()) return foreign();
   if (model != s.model_name || fingerprint != s.model_fingerprint) {
     return FailedPreconditionError(
-        "hibernation image of session " + s.name + " was taken under model " +
-        model + " (fingerprint mismatch with its admission record)");
+        "hibernation image of session " + std::string(s.name()) +
+        " was taken under model " + std::string(model) +
+        " (fingerprint mismatch with its admission record)");
   }
-  petri::AlarmSequence history(n);
-  for (petri::Alarm& alarm : history) {
-    alarm.symbol = r.Str();
-    alarm.peer = r.Str();
+  for (const petri::Alarm& alarm : history) {
+    if (r.StrView() != alarm.symbol || r.StrView() != alarm.peer) {
+      return foreign();
+    }
   }
-  DQSQ_ASSIGN_OR_RETURN(
-      OnlineDiagnoser d,
-      OnlineDiagnoser::Resume(entry->model, OnlineOptions{s.max_facts},
-                              history));
-  if (r.Bool()) d.RestoreCurrent(DecodeExplanations(r));
+  const bool has_answer = r.Bool();
+  const size_t answer_at = r.position();
+  if (has_answer) SkipExplanations(r);
   if (!r.AtEnd()) return foreign();
-  s.history = std::move(history);
-  s.diagnoser = std::make_unique<OnlineDiagnoser>(std::move(d));
-  s.lru_pos = resident_lru_.insert(resident_lru_.begin(), &s);
+  std::optional<std::string> answer;
+  if (has_answer) answer = std::move(image->erase(0, answer_at));
+  s.diagnoser.Wake(entry->model, std::move(answer));
+  resident_lru_.splice(resident_lru_.begin(), hibernated_, s.lru_pos);
   static Counter& restored =
       MetricsRegistry::Global().GetCounter("diag.service.sessions_restored");
   restored.Increment();
@@ -386,7 +397,7 @@ Status DiagnosisService::EnsureResident(Session& s) {
 }
 
 void DiagnosisService::TouchResident(Session& s) {
-  DQSQ_CHECK(s.diagnoser != nullptr);
+  DQSQ_CHECK(!s.diagnoser.hibernated());
   resident_lru_.splice(resident_lru_.begin(), resident_lru_, s.lru_pos);
 }
 

@@ -4,8 +4,8 @@
 // more than a session map is what the sessions share and how they are
 // bounded:
 //
-//  * One compiled model. All sessions of one model run the model's one
-//    QSQ-rewritten program over its DatalogContext (OnlineModel), so the
+//  * One compiled model. All sessions of one model point at the model's
+//    one QSQ-rewritten program and DatalogContext (OnlineModel), so the
 //    rewrite runs once and every Skolem term, symbol and predicate is
 //    interned once, not once per session.
 //  * Shared subquery/unfolding-prefix cache. A session's answers depend
@@ -13,21 +13,24 @@
 //    observation semantics), so the service keys a SubqueryCache on that
 //    canonical prefix. Any session reaching a prefix some session already
 //    solved gets the answers without touching the evaluator — dQSQ's
-//    subquery memoization (§3.2) made cross-session.
+//    subquery memoization (§3.2) made cross-session. The cached bytes
+//    become the session's current answer as they are.
 //  * Admission control and per-session budgets. OpenSession rejects
 //    tenants beyond ServiceOptions::max_sessions; every evaluation runs
 //    under session_max_facts (adjustable per session for differentiated
 //    tiers).
 //  * Cold-session hibernation. At most max_resident_sessions keep their
-//    diagnoser (history, current answer and database) in memory; colder
-//    sessions are serialized through the PeerSnapshot byte codec
-//    (dist/snapshot.h) into a DurableStore and their database is dropped.
-//    The hibernation image is the session's alarm history plus its cached
-//    answer — restore hands both to a fresh diagnoser without evaluating
-//    or building a rule; the database is rebuilt from the history at the
-//    session's next cache miss, and the shared prefix cache makes that
-//    rare. An image that names another session, holds another number of
-//    alarms or has trailing bytes fails the call instead of aborting.
+//    current answer and database in memory; colder sessions are written
+//    through the snapshot byte codec (dist/snapshot.h) into a
+//    DurableStore and keep only their alarm history, the one copy of it.
+//    The hibernation image is the session's alarm history plus its
+//    encoded current answer, written verbatim. A wake checks the image
+//    against the history in place and takes the answer bytes back
+//    undecoded, without evaluating or building a rule; the database is
+//    rebuilt from the history at the session's next cache miss, and the
+//    shared prefix cache makes that rare. An image that names another
+//    session, holds other alarms or has trailing bytes fails the call
+//    instead of aborting. CloseSession erases the image.
 //
 // Single-threaded by design, like the evaluation core: one service
 // instance per serving thread, models shared read-only. Metrics are
@@ -39,6 +42,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -53,8 +57,9 @@ namespace dqsq::diagnosis {
 struct ServiceOptions {
   /// Admission cap: total sessions, resident + hibernated.
   size_t max_sessions = 100'000;
-  /// Sessions allowed to keep their diagnoser in memory; beyond this the
-  /// least-recently-touched session is hibernated to the durable store.
+  /// Sessions allowed to keep their answer and database in memory; beyond
+  /// this the least-recently-touched session is hibernated to the durable
+  /// store.
   size_t max_resident_sessions = 1024;
   /// Per-session evaluation fact budget (OnlineOptions::max_facts).
   size_t session_max_facts = 5'000'000;
@@ -65,14 +70,8 @@ struct ServiceOptions {
   dist::DurableStore* store = nullptr;
 };
 
-/// Serialization of explanation sets through the snapshot byte codec —
-/// the value format of the shared prefix cache and of hibernation images.
-void EncodeExplanations(const std::vector<Explanation>& explanations,
-                        dist::SnapshotWriter& w);
-std::vector<Explanation> DecodeExplanations(dist::SnapshotReader& r);
-
 /// The canonical cache key of an observation prefix: the per-peer alarm
-/// subsequences in sorted peer order ("p1:b,c|p2:a|"). Two sessions whose
+/// subsequences in sorted peer order ("p1:b,c,|p2:a,|"). Two sessions whose
 /// interleavings differ but whose per-peer subsequences agree have the
 /// same explanations, and therefore the same key.
 std::string ObservationPrefixKey(const petri::AlarmSequence& history);
@@ -101,7 +100,8 @@ class DiagnosisService {
   /// an unregistered model, ALREADY_EXISTS for a duplicate session name.
   Status OpenSession(const std::string& session, const std::string& model);
 
-  /// Removes the session (resident or hibernated).
+  /// Removes the session (resident or hibernated) and its hibernation
+  /// image.
   Status CloseSession(const std::string& session);
 
   /// Feeds the next alarm of `session`'s plant and returns the
@@ -116,7 +116,7 @@ class DiagnosisService {
   StatusOr<std::vector<Explanation>> Current(const std::string& session);
 
   /// Serializes the session through the snapshot codec into the durable
-  /// store and drops its in-memory diagnoser. No-op if already hibernated.
+  /// store and drops its answer and database. No-op if already hibernated.
   Status Hibernate(const std::string& session);
 
   /// Adjusts one session's evaluation budget (differentiated tiers; also
@@ -155,18 +155,31 @@ class DiagnosisService {
   };
 
   struct Session {
-    std::string name;
+    Session(const std::string& session, const ModelEntry& model,
+            size_t max_facts)
+        : store_key(std::string(kStoreKeyPrefix) + session),
+          model_name(model.name),
+          model_fingerprint(model.fingerprint),
+          diagnoser(OnlineDiagnoser::CreateShared(
+              model.model, OnlineOptions{max_facts})) {}
+
+    static constexpr std::string_view kStoreKeyPrefix = "diag.session/";
+    /// Key of the hibernation image: kStoreKeyPrefix + session name.
+    std::string store_key;
+    std::string_view name() const {
+      return std::string_view(store_key).substr(kStoreKeyPrefix.size());
+    }
     /// Sessions reference their model by name + fingerprint, never by
     /// pointer: a hibernated session must survive the model being
     /// unregistered, and must be refused residency (FAILED_PRECONDITION)
     /// if the name was re-registered with different structure.
     std::string model_name;
     uint64_t model_fingerprint = 0;
-    size_t max_facts = 0;
-    petri::AlarmSequence history;
-    /// Null while hibernated.
-    std::unique_ptr<OnlineDiagnoser> diagnoser;
-    /// Position in resident_lru_ (valid only while resident).
+    /// Lives as long as the session and owns its alarm history and
+    /// budget; hibernated (no model, answer or database) while the
+    /// session is.
+    OnlineDiagnoser diagnoser;
+    /// Position in resident_lru_ while resident, in hibernated_ otherwise.
     std::list<Session*>::iterator lru_pos;
   };
 
@@ -174,12 +187,9 @@ class DiagnosisService {
   /// The live ModelEntry the session may run over, or FAILED_PRECONDITION
   /// when the model is gone / structurally different from admission time.
   StatusOr<ModelEntry*> ResolveModel(const Session& s);
-  std::string StoreKey(const Session& s) const {
-    return "diag.session/" + s.name;
-  }
 
   /// Serialized hibernation image of a resident session.
-  std::string SerializeSession(Session& s);
+  static std::string SerializeSession(const Session& s);
 
   /// Restores `s` from the durable store if hibernated; then bumps it to
   /// the front of the resident LRU and hibernates colder sessions until
@@ -195,6 +205,9 @@ class DiagnosisService {
   std::map<std::string, std::unique_ptr<ModelEntry>> models_;
   std::map<std::string, std::unique_ptr<Session>> sessions_;
   std::list<Session*> resident_lru_;  // front = most recently touched
+  /// The other sessions' list nodes, so a wake or an eviction moves a
+  /// node instead of allocating one.
+  std::list<Session*> hibernated_;
 };
 
 }  // namespace dqsq::diagnosis

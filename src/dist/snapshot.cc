@@ -50,6 +50,14 @@ std::string SnapshotReader::Str() {
   return s;
 }
 
+std::string_view SnapshotReader::StrView() {
+  uint64_t n = U64();
+  DQSQ_CHECK_LE(n, in_.size() - pos_) << "truncated snapshot";
+  std::string_view s = in_.substr(pos_, n);
+  pos_ += n;
+  return s;
+}
+
 uint32_t SnapshotReader::Count() {
   uint32_t n = U32();
   DQSQ_CHECK_LE(n, in_.size() - pos_) << "truncated snapshot";
@@ -120,6 +128,10 @@ std::optional<std::string> InMemoryDurableStore::Get(
   auto it = blobs_.find(key);
   if (it == blobs_.end()) return std::nullopt;
   return it->second;
+}
+
+void InMemoryDurableStore::Erase(const std::string& key) {
+  blobs_.erase(key);
 }
 
 void InMemoryDurableStore::Append(const std::string& key,

@@ -48,6 +48,10 @@ class SnapshotWriter {
   /// Element count of a following sequence, as a U32.
   void Count(size_t n);
 
+  /// Makes room for `n` bytes in all, so a caller that knows the encoded
+  /// size writes it with one allocation.
+  void Reserve(size_t n) { out_.reserve(n); }
+
   const std::string& bytes() const { return out_; }
   std::string Take() { return std::move(out_); }
 
@@ -66,6 +70,8 @@ class SnapshotReader {
   uint64_t U64();
   bool Bool() { return U8() != 0; }
   std::string Str();
+  /// Reads what Str reads, as a view into the input.
+  std::string_view StrView();
   /// Reads a Count. Every counted element takes at least one byte, so a
   /// count beyond the bytes left is truncation; it aborts before the
   /// caller can reserve space for it.
@@ -82,6 +88,8 @@ class SnapshotReader {
   }
 
   bool AtEnd() const { return pos_ == in_.size(); }
+  /// Bytes read so far.
+  size_t position() const { return pos_; }
 
  private:
   std::string_view in_;
@@ -125,6 +133,8 @@ class DurableStore {
 
   virtual void Put(const std::string& key, std::string value) = 0;
   virtual std::optional<std::string> Get(const std::string& key) const = 0;
+  /// Removes the blob under `key`, if any.
+  virtual void Erase(const std::string& key) = 0;
 
   virtual void Append(const std::string& key, std::string record) = 0;
   virtual const std::vector<std::string>& ReadLog(
@@ -141,6 +151,7 @@ class InMemoryDurableStore : public DurableStore {
  public:
   void Put(const std::string& key, std::string value) override;
   std::optional<std::string> Get(const std::string& key) const override;
+  void Erase(const std::string& key) override;
   void Append(const std::string& key, std::string record) override;
   const std::vector<std::string>& ReadLog(
       const std::string& key) const override;

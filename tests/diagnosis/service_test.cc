@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "diagnosis/diagnoser.h"
 #include "petri/examples.h"
 
@@ -193,6 +194,91 @@ TEST(DiagnosisServiceTest, HibernateRestoreRoundTripsByteIdentically) {
                                   {{"b", "p1"}, {"a", "p2"}, {"c", "p1"}})));
 }
 
+uint64_t EvalRuns() {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  return registry.GetCounter("datalog.eval.runs", {{"mode", "seminaive"}})
+             .value() +
+         registry.GetCounter("datalog.eval.runs", {{"mode", "naive"}}).value();
+}
+
+TEST(DiagnosisServiceTest, CacheHitImageHoldsTheAnswerAndWakesWithoutEval) {
+  // A session whose last alarm was a cache hit hibernates into the image
+  // layout: name, model, fingerprint, alarm history, then the encoded
+  // answer that hit returned. Waking it answers Current() from those bytes
+  // without evaluating.
+  dist::InMemoryDurableStore store;
+  ServiceOptions opts;
+  opts.store = &store;
+  DiagnosisService service(opts);
+  petri::PetriNet net = petri::MakePaperNet(/*with_loop=*/true);
+  ASSERT_TRUE(service.RegisterModel("paper", net).ok());
+  ASSERT_TRUE(service.OpenSession("leader", "paper").ok());
+  ASSERT_TRUE(service.OpenSession("plant", "paper").ok());
+  const petri::AlarmSequence alarms =
+      petri::MakeAlarms({{"a", "p2"}, {"b", "p1"}, {"c", "p2"}});
+  for (const petri::Alarm& alarm : alarms) {
+    ASSERT_TRUE(service.Observe("leader", alarm).ok());
+  }
+  const uint64_t hits = service.cache("paper")->hits();
+  std::vector<Explanation> answer;
+  for (const petri::Alarm& alarm : alarms) {
+    auto result = service.Observe("plant", alarm);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    answer = *result;
+  }
+  ASSERT_EQ(service.cache("paper")->hits(), hits + alarms.size());
+  ASSERT_FALSE(answer.empty());
+  EXPECT_EQ(answer, Batch(net, alarms));
+
+  ASSERT_TRUE(service.Hibernate("plant").ok());
+  std::optional<std::string> image = store.Get("diag.session/plant");
+  ASSERT_TRUE(image.has_value());
+  dist::SnapshotReader header(*image);
+  ASSERT_EQ(header.Str(), "plant");
+  ASSERT_EQ(header.Str(), "paper");
+  dist::SnapshotWriter expected;
+  expected.Str("plant");
+  expected.Str("paper");
+  expected.U64(header.U64());  // the model fingerprint
+  expected.U64(alarms.size());
+  for (const petri::Alarm& alarm : alarms) {
+    expected.Str(alarm.symbol);
+    expected.Str(alarm.peer);
+  }
+  expected.Bool(true);
+  EncodeExplanations(answer, expected);
+  EXPECT_EQ(*image, expected.bytes());
+
+  const uint64_t runs = EvalRuns();
+  auto current = service.Current("plant");
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  EXPECT_TRUE(service.is_resident("plant"));
+  EXPECT_EQ(*current, answer);
+  EXPECT_EQ(EvalRuns(), runs);
+}
+
+TEST(DiagnosisServiceTest, ClosedSessionsLeaveNoImageBehind) {
+  dist::InMemoryDurableStore store;
+  ServiceOptions opts;
+  opts.store = &store;
+  DiagnosisService service(opts);
+  ASSERT_TRUE(service.RegisterModel("paper", petri::MakePaperNet()).ok());
+  constexpr int kRounds = 1000;
+  for (int i = 0; i < kRounds; ++i) {
+    const std::string name = "s" + std::to_string(i);
+    ASSERT_TRUE(service.OpenSession(name, "paper").ok());
+    ASSERT_TRUE(service.Observe(name, {"b", "p1"}).ok());
+    ASSERT_TRUE(service.Hibernate(name).ok());
+    ASSERT_TRUE(store.Get("diag.session/" + name).has_value());
+    ASSERT_TRUE(service.CloseSession(name).ok());
+  }
+  EXPECT_EQ(service.num_sessions(), 0u);
+  for (int i = 0; i < kRounds; ++i) {
+    EXPECT_FALSE(store.Get("diag.session/s" + std::to_string(i)).has_value())
+        << i;
+  }
+}
+
 TEST(DiagnosisServiceTest, ColdSessionsEvictUnderResidencyCap) {
   ServiceOptions opts;
   opts.max_resident_sessions = 1;
@@ -344,6 +430,32 @@ TEST(DiagnosisServiceTest, PrefixKeyIsInterleavingInvariant) {
       petri::MakeAlarms({{"c", "p1"}, {"b", "p1"}, {"a", "p2"}}));
   EXPECT_EQ(k1, k2);   // same per-peer subsequences
   EXPECT_NE(k1, k3);   // p1's order differs
+}
+
+TEST(DiagnosisServiceTest, PrefixKeyIsThePerPeerSplit) {
+  // The key's bytes are pinned: the per-peer subsequences of
+  // petri::SplitByPeer, in its sorted peer order.
+  auto reference = [](const petri::AlarmSequence& history) {
+    std::string key;
+    for (const auto& [peer, symbols] : petri::SplitByPeer(history)) {
+      key += peer + ":";
+      for (const std::string& symbol : symbols) key += symbol + ",";
+      key += "|";
+    }
+    return key;
+  };
+  EXPECT_EQ(ObservationPrefixKey({}), "");
+  EXPECT_EQ(ObservationPrefixKey(petri::MakeAlarms(
+                {{"b", "p1"}, {"a", "p2"}, {"c", "p1"}})),
+            "p1:b,c,|p2:a,|");
+  const petri::AlarmSequence long_history = petri::MakeAlarms(
+      {{"x", "q"}, {"a", "p10"}, {"b", "p2"}, {"a", "p1"}, {"c", "q"},
+       {"b", "p10"}, {"a", "p"}, {"a", "p1"}});
+  for (size_t n = 0; n <= long_history.size(); ++n) {
+    const petri::AlarmSequence prefix(long_history.begin(),
+                                      long_history.begin() + n);
+    EXPECT_EQ(ObservationPrefixKey(prefix), reference(prefix)) << n;
+  }
 }
 
 }  // namespace

@@ -38,6 +38,20 @@ TEST(SnapshotCodecTest, PrimitivesRoundTripLittleEndian) {
   EXPECT_TRUE(r.AtEnd());
 }
 
+TEST(SnapshotCodecTest, StrViewReadsInPlaceAndTracksPosition) {
+  SnapshotWriter w;
+  w.Str("hello");
+  w.U8(7);
+  const std::string bytes = w.bytes();
+  SnapshotReader r(bytes);
+  const std::string_view view = r.StrView();
+  EXPECT_EQ(view, "hello");
+  EXPECT_EQ(view.data(), bytes.data() + 8);  // after the U64 length
+  EXPECT_EQ(r.position(), 13u);
+  EXPECT_EQ(r.U8(), 7);
+  EXPECT_TRUE(r.AtEnd());
+}
+
 TEST(SnapshotCodecDeathTest, TruncatedReadAborts) {
   SnapshotWriter w;
   w.U64(42);
@@ -405,6 +419,18 @@ TEST(InMemoryDurableStoreTest, BlobsAndLogsAreIndependentNamespaces) {
 
   // Write volume counts every byte handed to Put/Append (4+2+2+2+1).
   EXPECT_EQ(store.bytes_written(), 11u);
+}
+
+TEST(InMemoryDurableStoreTest, EraseRemovesOnlyThatBlob) {
+  InMemoryDurableStore store;
+  store.Put("snap/1", "a");
+  store.Put("snap/2", "b");
+  store.Append("snap/1", "r1");
+  store.Erase("snap/1");
+  store.Erase("snap/3");  // absent: no-op
+  EXPECT_FALSE(store.Get("snap/1").has_value());
+  ASSERT_TRUE(store.Get("snap/2").has_value());
+  EXPECT_EQ(store.ReadLog("snap/1").size(), 1u);  // logs are not blobs
 }
 
 }  // namespace
